@@ -5,22 +5,19 @@ a competency-compliance mapping under a resource budget, computes
 lag-window Gram-correlation matrices and per-period integral indicators,
 and compares the basic management mode against the universal-competencies
 mode. See the README for the CLI and file formats.
+
+The names below are the library surface; everything else is importable
+from its submodule (``ucindex.io_formats``, ``ucindex.report``, ...).
 """
 
 from ._version import __version__
 from .competencies import (
-    BudgetCheck,
-    Competency,
-    CompetencyCatalog,
     ComplianceMatrix,
     DerivationRule,
     ResourceBudget,
     check_budget,
     default_catalog,
     derive_mode_series,
-    load_catalog,
-    mapping_cost,
-    parse_catalog,
 )
 from .errors import (
     BadWindow,
@@ -40,120 +37,42 @@ from .errors import (
     WindowOutOfRange,
 )
 from .indicator import (
-    INDICATOR_UNIT,
-    GramCorrelationMatrix,
-    IndicatorSeries,
-    ModeComparison,
-    Warmup,
     WindowConfig,
     compare_modes,
-    correlation_matrix,
     gram_matrix,
     gram_matrix_bruteforce,
     indicator_series,
     ingest_precomputed,
-    row_indicator,
     scalar_per_period,
-    standardize_window,
 )
-from .io_formats import (
-    ModeFixture,
-    load_mode_fixture,
-    read_compliance_csv,
-    read_costs_csv,
-    read_scalar_csv,
-    read_scenario_json,
-    read_series_csv,
-    write_scenario_json,
-    write_series_csv,
-)
-from .process_model import (
-    ProcessSeries,
-    ProcessSystem,
-    TimeAxis,
-    build_process_system,
-    slice_window,
-)
-from .report import (
-    ReportFormat,
-    ReportTable,
-    build_report_table,
-    emit_plot_data,
-    emit_report,
-    render_report,
-)
-from .scenario import (
-    NOISE_ALGORITHM,
-    EventKind,
-    Scenario,
-    ScenarioEvent,
-    generate_series,
-    reference_scenario,
-    role_blocks,
-)
+from .io_formats import load_mode_fixture, read_series_csv
+from .process_model import ProcessSeries
+from .report import emit_report
+from .scenario import generate_series, reference_scenario
 
 __all__ = [
     "__version__",
-    # process model
-    "TimeAxis",
+    # model, competencies and indicators
     "ProcessSeries",
-    "ProcessSystem",
-    "build_process_system",
-    "slice_window",
-    # competencies
-    "Competency",
-    "CompetencyCatalog",
     "ComplianceMatrix",
     "ResourceBudget",
-    "BudgetCheck",
     "DerivationRule",
-    "load_catalog",
-    "parse_catalog",
-    "default_catalog",
-    "mapping_cost",
     "check_budget",
+    "default_catalog",
     "derive_mode_series",
-    # indicator engine
     "WindowConfig",
-    "Warmup",
-    "GramCorrelationMatrix",
-    "IndicatorSeries",
-    "ModeComparison",
-    "INDICATOR_UNIT",
     "gram_matrix",
     "gram_matrix_bruteforce",
-    "standardize_window",
-    "row_indicator",
-    "correlation_matrix",
     "indicator_series",
     "scalar_per_period",
     "ingest_precomputed",
     "compare_modes",
-    # scenario
-    "Scenario",
-    "ScenarioEvent",
-    "EventKind",
-    "NOISE_ALGORITHM",
+    # scenario, files and report
     "generate_series",
     "reference_scenario",
-    "role_blocks",
-    # io
     "read_series_csv",
-    "write_series_csv",
-    "read_compliance_csv",
-    "read_costs_csv",
-    "read_scalar_csv",
-    "read_scenario_json",
-    "write_scenario_json",
-    "ModeFixture",
     "load_mode_fixture",
-    # report
-    "ReportFormat",
-    "ReportTable",
-    "build_report_table",
-    "render_report",
     "emit_report",
-    "emit_plot_data",
     # errors
     "UcindexError",
     "DimensionMismatch",

@@ -26,7 +26,6 @@ from ._version import __version__
 from .competencies import DerivationRule, ResourceBudget, check_budget, derive_mode_series
 from .errors import UcindexError
 from .indicator import (
-    ModeComparison,
     Warmup,
     WindowConfig,
     compare_modes,
@@ -45,7 +44,7 @@ from .io_formats import (
     write_scenario_json,
     write_series_csv,
 )
-from .report import ReportFormat, emit_plot_data, emit_report
+from .report import ReportFormat, emit_plot_data, emit_report, window_metadata
 from .scenario import NOISE_ALGORITHM, generate_series, reference_scenario
 
 FIXTURE_TOLERANCE = 0.02  # the reference table is printed at 2 decimals
@@ -79,7 +78,7 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_indicator(args: argparse.Namespace) -> int:
-    _, series = read_series_csv(args.series)
+    series = read_series_csv(args.series)
     result = indicator_series(series, _window_config(args), mode_label=args.label)
     scalars = scalar_per_period(result)
     lines = ["t," + ",".join(series.variable_labels) + ",scalar"]
@@ -88,33 +87,26 @@ def cmd_indicator(args: argparse.Namespace) -> int:
         lines.append(f"{t},{values},{float(scalars[r])!r}")
     lines.append(f"# tool=ucindex {__version__}")
     lines.append(f"# mode={result.mode_label}")
-    lines.append(f"# window_k={args.window}")
-    lines.append(f"# standardize={'true' if args.standardize else 'false'}")
-    lines.append(f"# warmup={args.warmup}")
+    lines.extend(f"# {key}={value}" for key, value in window_metadata(result.config))
     lines.append(f"# total={result.total!r}")
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _compare_from_args(args: argparse.Namespace) -> tuple[ModeComparison, str | None]:
+def cmd_compare(args: argparse.Namespace) -> int:
     config = _window_config(args)
+    basic_series = read_series_csv(args.basic)
     if args.universal:
-        _, basic_series = read_series_csv(args.basic)
-        _, competency_series = read_series_csv(args.universal)
+        competency_series = read_series_csv(args.universal)
         derivation = None
     else:
-        _, basic_series = read_series_csv(args.basic)
         matrix = read_compliance_csv(args.compliance)
         rule = DerivationRule(args.derive)
         competency_series = derive_mode_series(basic_series, matrix, rule)
         derivation = rule.value
     basic = indicator_series(basic_series, config, mode_label=BASIC_LABEL)
     competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
-    return compare_modes(basic, competency), derivation
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    comparison, derivation = _compare_from_args(args)
+    comparison = compare_modes(basic, competency)
     text = emit_report(comparison, args.format, derivation=derivation, stamp=args.stamp)
     _write_or_print(text, args.out)
     if args.plot_data:
@@ -179,9 +171,6 @@ def cmd_fixture_verify(args: argparse.Namespace) -> int:
     basic = ingest_precomputed(fixture.basic, BASIC_LABEL)
     competency = ingest_precomputed(fixture.competency, COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
-    print(f"basic_total={comparison.basic.total:.2f}")
-    print(f"competency_total={comparison.competency.total:.2f}")
-    print(f"delta_total={comparison.delta_total:.2f}")
     checks = (
         ("basic_total", comparison.basic.total, fixture.declared_total_basic),
         ("competency_total", comparison.competency.total, fixture.declared_total_competency),
@@ -189,6 +178,7 @@ def cmd_fixture_verify(args: argparse.Namespace) -> int:
     )
     ok = True
     for name, computed, declared in checks:
+        print(f"{name}={computed:.2f}")
         if abs(computed - declared) > FIXTURE_TOLERANCE:
             print(
                 f"error: {name} {computed:.4f} differs from declared "

@@ -1,11 +1,11 @@
 """Universal-competencies catalog, compliance mapping, and resource budget.
 
-A competency catalog lists m competencies (the shipped default carries the
-32-item Council of Europe cross-disciplinary set). A compliance matrix marks
-with 0/1 which competency applies to which enterprise process. Activating
-competency mappings costs money; the budget gate checks that cost against an
-available limit. Finally, the mapping can be projected onto a process series
-to produce the "universal competencies" management-mode series.
+A competency catalog lists m competency descriptions (the shipped default
+carries the 32-item Council of Europe cross-disciplinary set). A compliance
+matrix marks with 0/1 which competency applies to which enterprise process.
+Activating competency mappings costs money; the budget gate checks that cost
+against an available limit. Finally, the mapping can be projected onto a
+process series to produce the "universal competencies" management-mode series.
 
 All types are immutable values and all operations are pure.
 """
@@ -16,7 +16,6 @@ import importlib.resources
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from pathlib import Path
 
 import numpy as np
 
@@ -31,48 +30,6 @@ from .errors import (
 from .process_model import ProcessSeries
 
 _DEFAULT_CATALOG_RESOURCE = "universal_competencies_32.tsv"
-
-
-@dataclass(frozen=True)
-class Competency:
-    """One catalog entry: a 1-based id and an opaque description string."""
-
-    id: int
-    description: str
-
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise GapInIds(f"competency id must be >= 1, got {self.id}")
-        if not self.description:
-            raise ParseError(f"competency {self.id} has an empty description")
-
-
-@dataclass(frozen=True)
-class CompetencyCatalog:
-    """Ordered list of competencies with ids exactly 1..m."""
-
-    competencies: tuple[Competency, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(self.competencies)
-        object.__setattr__(self, "competencies", entries)
-        if not entries:
-            raise GapInIds("catalog must contain at least one competency")
-        ids = [c.id for c in entries]
-        seen: set[int] = set()
-        for c in entries:
-            if c.id in seen:
-                raise DuplicateId(f"competency id {c.id} occurs more than once")
-            seen.add(c.id)
-        if ids != list(range(1, len(ids) + 1)):
-            raise GapInIds(f"ids must be exactly 1..{len(ids)}, got {ids}")
-
-    @property
-    def m(self) -> int:
-        return len(self.competencies)
-
-    def description(self, competency_id: int) -> str:
-        return self.competencies[competency_id - 1].description
 
 
 @dataclass(frozen=True)
@@ -102,14 +59,6 @@ class ComplianceMatrix:
     def n(self) -> int:
         """Process count (columns)."""
         return self.entries.shape[1]
-
-    def active_competencies(self) -> np.ndarray:
-        """Boolean vector: competency i has at least one mapped process."""
-        return self.entries.any(axis=1)
-
-    def coverage_counts(self) -> np.ndarray:
-        """Per-process count of competencies mapped to it (column sums)."""
-        return self.entries.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -153,11 +102,12 @@ class DerivationRule(str, Enum):
     WEIGHT = "weight"
 
 
-def load_catalog(source: str | Path) -> CompetencyCatalog:
-    """Load a competency catalog from a tab-separated document.
+def parse_catalog(text: str) -> tuple[str, ...]:
+    """Parse a competency catalog; entry i-1 of the result describes competency i.
 
-    Format: one ``id<TAB>description`` entry per line, ids contiguous from 1,
-    UTF-8. Blank lines and lines starting with ``#`` are skipped.
+    Format: one ``id<TAB>description`` entry per line, ids contiguous from 1
+    in any order, descriptions nonempty. Blank lines and lines starting with
+    ``#`` are skipped.
 
     Raises
     ------
@@ -166,18 +116,11 @@ def load_catalog(source: str | Path) -> CompetencyCatalog:
     DuplicateId, GapInIds
         Ids are not exactly 1..m.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    return parse_catalog(text)
-
-
-def parse_catalog(text: str) -> CompetencyCatalog:
-    """Parse catalog TSV text; see :func:`load_catalog` for the format."""
-    entries: list[Competency] = []
+    entries: dict[int, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not raw.strip() or raw.lstrip().startswith("#"):
             continue
-        parts = line.split("\t")
+        parts = raw.split("\t")
         if len(parts) != 2:
             raise ParseError(
                 f"expected 'id<TAB>description', got {len(parts)} field(s)", line=lineno
@@ -189,30 +132,28 @@ def parse_catalog(text: str) -> CompetencyCatalog:
             raise ParseError(f"competency id {id_token!r} is not an integer", line=lineno)
         if not description.strip():
             raise ParseError("empty description", line=lineno)
-        entries.append(Competency(id=cid, description=description.strip()))
+        if cid in entries:
+            raise DuplicateId(f"competency id {cid} occurs more than once", line=lineno)
+        entries[cid] = description.strip()
     if not entries:
         raise ParseError("catalog document contains no entries")
-    ids = [c.id for c in entries]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise DuplicateId(f"competency id {dup} occurs more than once")
-    if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise GapInIds(f"ids must be exactly 1..{len(ids)}, got {sorted(ids)}")
-    entries.sort(key=lambda c: c.id)
-    return CompetencyCatalog(competencies=tuple(entries))
+    ids = sorted(entries)
+    if ids != list(range(1, len(ids) + 1)):
+        raise GapInIds(f"ids must be exactly 1..{len(ids)}, got {ids}")
+    return tuple(entries[i] for i in ids)
 
 
-def default_catalog() -> CompetencyCatalog:
-    """The shipped 32-entry universal-competencies catalog."""
+def default_catalog() -> tuple[str, ...]:
+    """The shipped 32-entry universal-competencies catalog, as descriptions in id order."""
     ref = importlib.resources.files("ucindex") / "data" / _DEFAULT_CATALOG_RESOURCE
     return parse_catalog(ref.read_text(encoding="utf-8"))
 
 
-def mapping_cost(matrix: ComplianceMatrix, budget: ResourceBudget) -> float:
-    """Total activation cost of the mapping.
+def check_budget(matrix: ComplianceMatrix, budget: ResourceBudget) -> BudgetCheck:
+    """Gate the mapping's activation cost against the limit (cost == limit passes).
 
     A competency is active when its row has at least one 1; the cost is the
-    sum of ``cost_per_competency`` over active competencies.
+    exact sum of ``cost_per_competency`` over active competencies.
 
     Raises
     ------
@@ -223,13 +164,8 @@ def mapping_cost(matrix: ComplianceMatrix, budget: ResourceBudget) -> float:
         raise DimensionMismatch(
             f"{len(budget.cost_per_competency)} costs for {matrix.m} competencies"
         )
-    active = matrix.active_competencies()
-    return fsum(c for c, a in zip(budget.cost_per_competency, active) if a)
-
-
-def check_budget(matrix: ComplianceMatrix, budget: ResourceBudget) -> BudgetCheck:
-    """Gate the mapping against the resource limit (non-strict: cost == limit passes)."""
-    cost = mapping_cost(matrix, budget)
+    active = matrix.entries.any(axis=1)
+    cost = fsum(c for c, a in zip(budget.cost_per_competency, active) if a)
     return BudgetCheck(accepted=cost <= budget.limit_c, cost=cost, limit=budget.limit_c)
 
 
@@ -254,7 +190,7 @@ def derive_mode_series(
         raise DimensionMismatch(
             f"compliance matrix covers {matrix.n} processes, series has {series.n}"
         )
-    counts = matrix.coverage_counts().astype(float)
+    counts = matrix.entries.sum(axis=0).astype(float)  # competencies per process
     if rule is DerivationRule.MASK:
         factors = (counts > 0).astype(float)
     else:

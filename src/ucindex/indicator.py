@@ -7,6 +7,10 @@ and j over the window. The per-variable indicator at t is the sum of
 absolute values along row i of R, and the integral indicator of a whole run
 is the sum of those values over every defined period and variable.
 
+R is symmetric bit for bit with no mirroring step: IEEE multiplication
+commutes exactly (x_i*x_j == x_j*x_i), and :func:`gram_matrix` adds the
+products for (i, j) and (j, i) in the same lag order.
+
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
 an explicitly non-default variant. On monetary inputs the indicator is
@@ -18,7 +22,7 @@ results do not depend on evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
 
@@ -32,7 +36,7 @@ from .errors import (
     NonFiniteValue,
     SeriesTooShort,
 )
-from .process_model import ProcessSeries, ProcessSystem, slice_window
+from .process_model import ProcessSeries, slice_window
 
 INDICATOR_UNIT = "input-unit^2"
 
@@ -74,37 +78,6 @@ class WindowConfig:
         if self.k < 2:
             raise BadWindow(f"window length must be >= 2, got k={self.k}")
         object.__setattr__(self, "warmup", Warmup(self.warmup))
-
-
-@dataclass(frozen=True)
-class GramCorrelationMatrix:
-    """The n x n cross-moment matrix of one period's lag window.
-
-    Symmetric by construction; entries are mirrored bit-for-bit across the
-    diagonal. The matrix is a Gram form, hence positive semidefinite with a
-    nonnegative diagonal.
-    """
-
-    t: int
-    k: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"entries must be square, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue("correlation matrix contains NaN or infinite entries")
-        if not (arr == arr.T).all():
-            raise DimensionMismatch("correlation matrix entries are not symmetric")
-        if (np.diag(arr) < 0).any():
-            raise DimensionMismatch("correlation matrix has a negative diagonal entry")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -156,60 +129,61 @@ class IndicatorSeries:
         """Number of variables."""
         return self.values.shape[1]
 
-    def at(self, t: int) -> np.ndarray:
-        """Indicator vector at defined period t."""
-        try:
-            r = self.periods.index(t)
-        except ValueError:
-            raise SeriesTooShort(f"period {t} is not defined for this series") from None
-        return self.values[r].copy()
-
 
 @dataclass(frozen=True)
 class ModeComparison:
-    """Paired basic/competency indicator series with their per-period and total deltas.
+    """Paired basic/competency indicator series with their per-period scalars and deltas.
 
     Both series must cover the same defined periods with the same variable
-    count and window settings; the totals delta must be their difference.
+    count and window settings. The per-period scalars of each mode (see
+    :func:`scalar_per_period`) and both deltas are derived once, on
+    construction, so every consumer reads the same arrays.
     """
 
     basic: IndicatorSeries
     competency: IndicatorSeries
-    delta_per_period: np.ndarray
-    delta_total: float
+    basic_scalars: np.ndarray = field(init=False)
+    competency_scalars: np.ndarray = field(init=False)
+    delta_per_period: np.ndarray = field(init=False)
+    delta_total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_comparable(self.basic, self.competency)
-        arr = np.array(self.delta_per_period, dtype=float, copy=True)
-        if arr.shape != (len(self.basic.periods),):
-            raise DimensionMismatch(
-                f"delta vector shape {arr.shape} does not match "
-                f"{len(self.basic.periods)} defined periods"
+        basic, competency = self.basic, self.competency
+        if basic.t_max != competency.t_max:
+            raise ConfigMismatch(f"t_max differs: {basic.t_max} vs {competency.t_max}")
+        if basic.n != competency.n:
+            raise ConfigMismatch(f"variable count differs: {basic.n} vs {competency.n}")
+        if basic.config != competency.config:
+            raise ConfigMismatch(
+                f"window settings differ: {basic.config} vs {competency.config}"
             )
-        arr.setflags(write=False)
-        object.__setattr__(self, "delta_per_period", arr)
-        expected = self.competency.total - self.basic.total
-        if abs(self.delta_total - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise DimensionMismatch(
-                f"delta_total {self.delta_total} is not the difference of the two totals"
-            )
+        if basic.periods != competency.periods:
+            raise ConfigMismatch("defined periods differ between the two series")
+        basic_scalars = scalar_per_period(basic)
+        competency_scalars = scalar_per_period(competency)
+        delta = competency_scalars - basic_scalars
+        for name, arr in (("basic_scalars", basic_scalars),
+                          ("competency_scalars", competency_scalars),
+                          ("delta_per_period", delta)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "delta_total", competency.total - basic.total)
 
     @property
     def periods(self) -> tuple[int, ...]:
         return self.basic.periods
 
 
-def _require_comparable(basic: IndicatorSeries, competency: IndicatorSeries) -> None:
-    if basic.t_max != competency.t_max:
-        raise ConfigMismatch(f"t_max differs: {basic.t_max} vs {competency.t_max}")
-    if basic.n != competency.n:
-        raise ConfigMismatch(f"variable count differs: {basic.n} vs {competency.n}")
-    if basic.config != competency.config:
-        raise ConfigMismatch(
-            f"window settings differ: {basic.config} vs {competency.config}"
-        )
-    if basic.periods != competency.periods:
-        raise ConfigMismatch("defined periods differ between the two series")
+def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
+    """The window as a float array, once it passes the checks both Gram kernels share."""
+    w = np.asarray(window, dtype=float)
+    if k < 2:
+        raise BadWindow(f"window length must be >= 2, got k={k}")
+    if w.ndim != 2 or w.shape[0] != k:
+        raise BadWindow(f"expected {k} window rows, got shape {w.shape}")
+    if not np.isfinite(w).all():
+        raise NonFiniteValue("window contains NaN or infinite entries")
+    return w
 
 
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
@@ -217,8 +191,9 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
 
     Entries are accumulated lag by lag in ascending order (one rank-1 update
     per window row), so the reduction order is fixed and results never
-    depend on a BLAS blocking choice. The upper triangle is then mirrored
-    below the diagonal, guaranteeing bit-exact symmetry.
+    depend on a BLAS blocking choice. Symmetry is bit-exact without any
+    mirroring step: IEEE multiplication commutes exactly, so entries (i, j)
+    and (j, i) add the same products in the same lag order.
 
     Raises
     ------
@@ -227,19 +202,11 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries.
     """
-    w = np.asarray(window, dtype=float)
-    if k < 2:
-        raise BadWindow(f"window length must be >= 2, got k={k}")
-    if w.ndim != 2 or w.shape[0] != k:
-        raise BadWindow(f"expected {k} window rows, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NonFiniteValue("window contains NaN or infinite entries")
+    w = _checked_window(window, k)
     n = w.shape[1]
     g = np.zeros((n, n))
     for row in w:
         g += np.outer(row, row)
-    upper = np.triu(g)
-    g = upper + np.triu(upper, 1).T
     g /= k - 1
     return g
 
@@ -247,17 +214,11 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
 def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
     """Oracle twin of :func:`gram_matrix`: an explicit sum over (i, j, l).
 
-    No matrix-product shortcut and no mirroring; every entry is accumulated
-    independently from the defining sum. Exists to cross-check the fast
-    path and for nothing else.
+    No matrix-product shortcut; every entry is accumulated independently
+    from the defining sum. Exists to cross-check the fast path and for
+    nothing else.
     """
-    w = np.asarray(window, dtype=float)
-    if k < 2:
-        raise BadWindow(f"window length must be >= 2, got k={k}")
-    if w.ndim != 2 or w.shape[0] != k:
-        raise BadWindow(f"expected {k} window rows, got shape {w.shape}")
-    if not np.isfinite(w).all():
-        raise NonFiniteValue("window contains NaN or infinite entries")
+    w = _checked_window(window, k)
     n = w.shape[1]
     g = np.zeros((n, n))
     for i in range(n):
@@ -286,21 +247,9 @@ def standardize_window(window: np.ndarray) -> np.ndarray:
     return out
 
 
-def row_indicator(matrix: GramCorrelationMatrix | np.ndarray) -> np.ndarray:
+def row_indicator(matrix: np.ndarray) -> np.ndarray:
     """Per-variable indicator: sum of absolute values along each row, diagonal included."""
-    entries = matrix.entries if isinstance(matrix, GramCorrelationMatrix) else np.asarray(matrix, dtype=float)
-    return np.abs(entries).sum(axis=1)
-
-
-def correlation_matrix(
-    series: ProcessSeries | ProcessSystem, t: int, config: WindowConfig
-) -> GramCorrelationMatrix:
-    """The Gram-correlation matrix of the lag window preceding period t."""
-    k = _effective_k(config, t)
-    window = slice_window(series, t, k)
-    if config.standardize:
-        window = standardize_window(window)
-    return GramCorrelationMatrix(t=t, k=k, entries=gram_matrix(window, k))
+    return np.abs(np.asarray(matrix, dtype=float)).sum(axis=1)
 
 
 def _effective_k(config: WindowConfig, t: int) -> int:
@@ -392,15 +341,13 @@ def ingest_precomputed(
         raise SeriesTooShort(
             "precomputed series must be a flat sequence with at least one value"
         )
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue("precomputed values contain NaN or infinite entries")
-    if (arr < 0).any():
-        raise NegativeIndicator("precomputed indicator values must be >= 0")
     periods = tuple(range(first_period, first_period + arr.size))
     return IndicatorSeries(
         periods=periods,
         values=arr.reshape(-1, 1),
-        total=fsum(arr),
+        # fsum raises on inf + -inf; leaving non-finite entries out lets the
+        # constructor report them as NonFiniteValue instead
+        total=fsum(arr[np.isfinite(arr)]),
         t_max=periods[-1],
         config=None,
         mode_label=mode_label,
@@ -418,11 +365,4 @@ def compare_modes(basic: IndicatorSeries, competency: IndicatorSeries) -> ModeCo
     ConfigMismatch
         If t_max, variable count, window settings, or defined periods differ.
     """
-    _require_comparable(basic, competency)
-    delta = scalar_per_period(competency) - scalar_per_period(basic)
-    return ModeComparison(
-        basic=basic,
-        competency=competency,
-        delta_per_period=delta,
-        delta_total=competency.total - basic.total,
-    )
+    return ModeComparison(basic=basic, competency=competency)

@@ -1,4 +1,4 @@
-"""Flat-file formats: series CSV, compliance CSV, costs CSV, scenario JSON, fixture.
+"""Flat-file formats: series CSV, compliance CSV, costs CSV, scalar CSV, scenario JSON, fixture.
 
 All files are UTF-8 with LF line endings and a ``.`` decimal separator
 regardless of locale. Lines starting with ``#`` are metadata comments and
@@ -6,6 +6,10 @@ are skipped by every reader. Numeric series values are written with
 ``repr`` precision so a write/read round trip reproduces them exactly.
 Writers go through a write-temp-then-rename step so a crash never leaves a
 half-written file behind.
+
+One table reader parses every CSV format, with line-numbered errors.
+Values must be finite plain decimals: ``nan``, ``inf``, overflowing
+exponents and ``_`` digit grouping are rejected.
 
 Formats:
 
@@ -17,56 +21,172 @@ Formats:
 * ``catalog.tsv`` -- ``id<TAB>description`` (see competencies module).
 * ``scenario.json`` -- flat keys t_max, n, seed, base_level, noise_scale,
   event_effect plus an ``events`` list of {period, kind, role, count}.
-* scalar CSV -- header ``t,basic,universal_competencies``; per-period
-  indicator scalars, as written by the plot-data emitter.
+* scalar CSV -- header exactly ``t,basic,universal_competencies``;
+  per-period indicator scalars, as written by the plot-data emitter.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
+import itertools
 import json
 import os
-from dataclasses import dataclass
+import tempfile
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .competencies import ComplianceMatrix
 from .errors import (
     NonBinaryEntry,
+    NonFiniteValue,
     NonMonotonicTime,
     ParseError,
     RaggedRow,
 )
-from .process_model import ProcessSeries, TimeAxis
+from .process_model import ProcessSeries
 from .scenario import Scenario, ScenarioEvent
 
 _FIXTURE_RESOURCE = "mode_comparison_57.csv"
 
-_SCENARIO_KEYS = {"t_max", "n", "seed", "base_level", "noise_scale", "event_effect", "events"}
-_EVENT_KEYS = {"period", "kind", "role", "count"}
+_SCENARIO_KEYS = {f.name for f in dataclasses.fields(Scenario)}
+_EVENT_KEYS = {f.name for f in dataclasses.fields(ScenarioEvent)}
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` via a temporary file and an atomic rename."""
+    """Write text to ``path`` via a unique temporary file and an atomic rename.
+
+    The temporary file sits in the target's directory, so concurrent writers
+    never share it. If the write fails it is removed and the target is left
+    as it was.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        # mkstemp creates the file private (0600); give it the mode a plain
+        # open() would. Reading the umask means setting it, so set it back.
+        umask = os.umask(0o022)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _data_lines(text: str) -> list[tuple[int, str]]:
-    """Non-blank, non-comment lines with their 1-based physical line numbers."""
-    out = []
+def _read_text(path) -> str:
+    """Decode a file (a path or a package resource) as UTF-8."""
+    if isinstance(path, str):
+        path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def _data_lines(text: str, meta: dict[str, str] | None = None) -> Iterator[tuple[int, str]]:
+    """Non-blank, non-comment lines with their 1-based physical line numbers.
+
+    ``# key=value`` comments are collected into ``meta`` when it is given.
+    """
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        out.append((lineno, raw))
-    return out
+        line = raw.strip()
+        if line.startswith("#"):
+            if meta is not None:
+                key, sep, value = line.lstrip("# ").partition("=")
+                if sep:
+                    meta[key.strip()] = value.strip()
+        elif line:
+            yield lineno, raw
 
 
-def read_series_csv(path: str | Path) -> tuple[TimeAxis, ProcessSeries]:
-    """Read a process series file.
+def _floats(tokens: list[str], lineno: int) -> list[float]:
+    try:
+        return list(map(float, tokens))
+    except ValueError as exc:  # the message quotes the bad token
+        raise ParseError(str(exc), line=lineno) from None
+
+
+def _binary(tokens: list[str], lineno: int) -> list[int]:
+    row = [t.strip() for t in tokens]
+    bad = next((t for t in row if t not in ("0", "1")), None)
+    if bad is not None:
+        raise NonBinaryEntry(f"entry {bad!r} is not a literal 0 or 1", line=lineno)
+    return list(map(int, row))
+
+
+class _Table(NamedTuple):
+    names: tuple[str, ...]  # value column names, in header order
+    first: int  # key of the first data row
+    cells: np.ndarray  # rows x len(names)
+    meta: dict[str, str]  # ``# key=value`` comments
+
+
+def _read_table(
+    path,
+    key: str,
+    columns: tuple[str, ...] | None = None,
+    cell: Callable[[list[str], int], Iterable[float]] = _floats,
+    first: int | None = 1,
+) -> _Table:
+    """Read a CSV table: header ``key,<value columns>``, then one row per key.
+
+    ``columns`` names the value columns exactly; None accepts any nonempty
+    list. Keys are integers consecutive from ``first`` (None: from whatever
+    the first row holds). ``cell`` parses one row's value tokens, given the
+    line number for its errors; the parsed cells must be finite.
+    """
+    text = _read_text(path)
+    meta: dict[str, str] = {}
+    lines = _data_lines(text, meta)
+    header_lineno, header = next(lines, (0, ""))
+    if not header:
+        raise ParseError(f"{path}: no header row found")
+    names = tuple(f.strip() for f in header.split(","))
+    if names[0] != key or len(names) < 2 or columns is not None and names[1:] != columns:
+        spec = ",".join(columns) if columns else "<name1>,...,<namen>"
+        raise ParseError(f"header must be '{key},{spec}'", line=header_lineno)
+    width = len(names)
+    flat: list[float] = []
+    rows = 0
+    for lineno, raw in lines:
+        parts = raw.split(",")
+        if len(parts) != width:
+            raise RaggedRow(f"expected {width} fields, got {len(parts)}", line=lineno)
+        if "_" in raw or not raw.isascii():
+            raise ParseError("only plain ASCII numbers are allowed, without '_'", line=lineno)
+        try:
+            k = int(parts[0])
+        except ValueError:
+            raise ParseError(f"{key} {parts[0]!r} is not an integer", line=lineno) from None
+        if first is None:
+            first = k
+        if k != first + rows:
+            raise (NonMonotonicTime if key == "t" else ParseError)(
+                f"expected {key} {first + rows}, got {k} (must be consecutive from {first})",
+                line=lineno,
+            )
+        flat.extend(cell(parts[1:], lineno))
+        rows += 1
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    cells = np.array(flat, dtype=float).reshape(rows, width - 1)
+    finite = np.isfinite(cells)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), width - 1)
+        lineno, raw = next(itertools.islice(_data_lines(text), row + 1, None))
+        raise NonFiniteValue(
+            f"line {lineno}: value {raw.split(',')[col + 1]!r} is not a finite number"
+        )
+    return _Table(names[1:], first, cells, meta)
+
+
+def read_series_csv(path: str | Path) -> ProcessSeries:
+    """Read a process series file (header ``t,<var1>,...,<varn>``, t from 1).
 
     Raises
     ------
@@ -76,53 +196,12 @@ def read_series_csv(path: str | Path) -> tuple[TimeAxis, ProcessSeries]:
         Period column is not 1, 2, 3, ... in order.
     RaggedRow
         A row's field count differs from the header's.
+    NonFiniteValue
+        A value is NaN or infinite (with line number).
     """
-    lines = _data_lines(Path(path).read_text(encoding="utf-8"))
-    if not lines:
-        raise ParseError(f"{path}: no header row found")
-    header_lineno, header = lines[0]
-    fields = header.split(",")
-    if fields[0].strip() != "t" or len(fields) < 2:
-        raise ParseError("header must be 't,<var1>,...,<varn>'", line=header_lineno)
-    labels = tuple(f.strip() for f in fields[1:])
-    n = len(labels)
-
-    columns: list[list[float]] = []
-    for row_index, (lineno, raw) in enumerate(lines[1:]):
-        parts = raw.split(",")
-        if len(parts) != n + 1:
-            raise RaggedRow(
-                f"expected {n + 1} fields, got {len(parts)}", line=lineno
-            )
-        try:
-            t = int(parts[0])
-        except ValueError:
-            raise ParseError(f"period index {parts[0]!r} is not an integer", line=lineno)
-        if t != row_index + 1:
-            raise NonMonotonicTime(
-                f"expected period {row_index + 1}, got {t} "
-                "(periods must be consecutive from 1)",
-                line=lineno,
-            )
-        try:
-            columns.append([float(p) for p in parts[1:]])
-        except ValueError:
-            bad = next(p for p in parts[1:] if not _is_float(p))
-            raise ParseError(f"value {bad!r} is not a number", line=lineno)
-    if not columns:
-        raise ParseError(f"{path}: no data rows")
-
-    values = np.array(columns).T  # rows were periods; store variables x periods
-    series = ProcessSeries(values=values, variable_labels=labels)
-    return TimeAxis(t_max=series.t_max), series
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
+    table = _read_table(path, "t")
+    # rows are periods; a series stores variables x periods
+    return ProcessSeries(values=table.cells.T, variable_labels=table.names)
 
 
 def write_series_csv(
@@ -149,7 +228,7 @@ def write_series_csv(
 
 
 def read_compliance_csv(path: str | Path) -> ComplianceMatrix:
-    """Read a 0/1 compliance matrix.
+    """Read a 0/1 compliance matrix (header ``competency_id,<p1>,...,<pn>``).
 
     Tokens must be exactly ``0`` or ``1``; anything else (including ``0.0``)
     is rejected.
@@ -158,181 +237,90 @@ def read_compliance_csv(path: str | Path) -> ComplianceMatrix:
     ------
     ParseError, RaggedRow, NonBinaryEntry
     """
-    lines = _data_lines(Path(path).read_text(encoding="utf-8"))
-    if not lines:
-        raise ParseError(f"{path}: no header row found")
-    header_lineno, header = lines[0]
-    fields = header.split(",")
-    if fields[0].strip() != "competency_id" or len(fields) < 2:
-        raise ParseError(
-            "header must be 'competency_id,<p1>,...,<pn>'", line=header_lineno
-        )
-    n = len(fields) - 1
-
-    rows: list[list[int]] = []
-    for row_index, (lineno, raw) in enumerate(lines[1:]):
-        parts = raw.split(",")
-        if len(parts) != n + 1:
-            raise RaggedRow(f"expected {n + 1} fields, got {len(parts)}", line=lineno)
-        try:
-            cid = int(parts[0])
-        except ValueError:
-            raise ParseError(f"competency id {parts[0]!r} is not an integer", line=lineno)
-        if cid != row_index + 1:
-            raise ParseError(
-                f"expected competency id {row_index + 1}, got {cid} "
-                "(ids must be consecutive from 1)",
-                line=lineno,
-            )
-        row = []
-        for token in parts[1:]:
-            token = token.strip()
-            if token not in ("0", "1"):
-                raise NonBinaryEntry(
-                    f"entry {token!r} is not a literal 0 or 1", line=lineno
-                )
-            row.append(int(token))
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return ComplianceMatrix(entries=np.array(rows))
+    return ComplianceMatrix(entries=_read_table(path, "competency_id", cell=_binary).cells)
 
 
 def read_costs_csv(path: str | Path) -> tuple[float, ...]:
     """Read per-competency activation costs (header ``competency_id,cost``)."""
-    lines = _data_lines(Path(path).read_text(encoding="utf-8"))
-    if not lines:
-        raise ParseError(f"{path}: no header row found")
-    header_lineno, header = lines[0]
-    if [f.strip() for f in header.split(",")] != ["competency_id", "cost"]:
-        raise ParseError("header must be 'competency_id,cost'", line=header_lineno)
-    costs: list[float] = []
-    for row_index, (lineno, raw) in enumerate(lines[1:]):
-        parts = raw.split(",")
-        if len(parts) != 2:
-            raise RaggedRow(f"expected 2 fields, got {len(parts)}", line=lineno)
-        try:
-            cid = int(parts[0])
-        except ValueError:
-            raise ParseError(f"competency id {parts[0]!r} is not an integer", line=lineno)
-        if cid != row_index + 1:
-            raise ParseError(
-                f"expected competency id {row_index + 1}, got {cid}", line=lineno
-            )
-        try:
-            costs.append(float(parts[1]))
-        except ValueError:
-            raise ParseError(f"cost {parts[1]!r} is not a number", line=lineno)
-    if not costs:
-        raise ParseError(f"{path}: no data rows")
-    return tuple(costs)
+    return tuple(_read_table(path, "competency_id", ("cost",)).cells[:, 0].tolist())
 
 
 def read_scalar_csv(path: str | Path) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """Read per-period scalar pairs (header ``t,basic,universal_competencies``).
+    """Read per-period scalar pairs (header exactly ``t,basic,universal_competencies``).
 
     Returns the period indices and the two scalar columns. Periods must be
     consecutive; they need not start at 1 (reports may begin after warmup).
     """
-    lines = _data_lines(Path(path).read_text(encoding="utf-8"))
-    if not lines:
-        raise ParseError(f"{path}: no header row found")
-    header_lineno, header = lines[0]
-    fields = [f.strip() for f in header.split(",")]
-    if len(fields) < 3 or fields[0] != "t":
-        raise ParseError(
-            "header must be 't,basic,universal_competencies'", line=header_lineno
-        )
-    periods: list[int] = []
-    basic: list[float] = []
-    competency: list[float] = []
-    for lineno, raw in lines[1:]:
-        parts = raw.split(",")
-        if len(parts) != len(fields):
-            raise RaggedRow(f"expected {len(fields)} fields, got {len(parts)}", line=lineno)
-        try:
-            t = int(parts[0])
-            b = float(parts[1])
-            c = float(parts[2])
-        except ValueError:
-            raise ParseError(f"unparseable row {raw!r}", line=lineno)
-        if periods and t != periods[-1] + 1:
-            raise NonMonotonicTime(
-                f"expected period {periods[-1] + 1}, got {t}", line=lineno
-            )
-        periods.append(t)
-        basic.append(b)
-        competency.append(c)
-    if not periods:
-        raise ParseError(f"{path}: no data rows")
-    return tuple(periods), np.array(basic), np.array(competency)
+    table = _read_table(path, "t", ("basic", "universal_competencies"), first=None)
+    periods = tuple(range(table.first, table.first + len(table.cells)))
+    return periods, table.cells[:, 0], table.cells[:, 1]
+
+
+def _object(value, where: str, keys: set[str], required: set[str]) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object")
+    unknown = set(value) - keys
+    if unknown:
+        raise ParseError(f"{where} has unknown keys {sorted(unknown)}")
+    missing = required - set(value)
+    if missing:
+        raise ParseError(f"{where} is missing keys {sorted(missing)}")
+    return value
+
+
+def _integer(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def read_scenario_json(path: str | Path) -> Scenario:
-    """Read a scenario document; unknown keys are rejected to catch typos."""
+    """Read a scenario document; unknown keys are rejected to catch typos.
+
+    A value of the wrong type, such as a non-integer count or an unknown
+    event kind, raises ParseError; a well-typed scenario that breaks its own
+    constraints raises InvalidScenario.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise ParseError(f"{path}: unknown scenario keys {sorted(unknown)}")
-    missing = {"t_max", "n", "seed"} - set(doc)
-    if missing:
-        raise ParseError(f"{path}: missing required keys {sorted(missing)}")
-    events = []
-    for idx, entry in enumerate(doc.get("events", [])):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: events[{idx}] must be an object")
-        unknown = set(entry) - _EVENT_KEYS
-        if unknown:
-            raise ParseError(f"{path}: events[{idx}] has unknown keys {sorted(unknown)}")
-        missing = _EVENT_KEYS - set(entry)
-        if missing:
-            raise ParseError(f"{path}: events[{idx}] missing keys {sorted(missing)}")
-        events.append(
-            ScenarioEvent(
-                period=int(entry["period"]),
-                kind=str(entry["kind"]),
-                role=str(entry["role"]),
-                count=int(entry["count"]),
+    doc = _object(doc, str(path), _SCENARIO_KEYS, {"t_max", "n", "seed"})
+    entries = doc.get("events", [])
+    if not isinstance(entries, list):
+        raise ParseError(f"{path}: events must be a list")
+    try:
+        events = []
+        for idx, entry in enumerate(entries):
+            entry = _object(entry, f"{path}: events[{idx}]", _EVENT_KEYS, _EVENT_KEYS)
+            events.append(
+                ScenarioEvent(
+                    period=_integer(entry, "period"),
+                    kind=entry["kind"],
+                    role=str(entry["role"]),
+                    count=_integer(entry, "count"),
+                )
             )
+        return Scenario(
+            t_max=_integer(doc, "t_max"),
+            n=_integer(doc, "n"),
+            seed=_integer(doc, "seed"),
+            base_level=float(doc.get("base_level", 100.0)),
+            noise_scale=float(doc.get("noise_scale", 5.0)),
+            event_effect=float(doc.get("event_effect", 1.25)),
+            events=tuple(events),
         )
-    return Scenario(
-        t_max=int(doc["t_max"]),
-        n=int(doc["n"]),
-        seed=int(doc["seed"]),
-        base_level=float(doc.get("base_level", 100.0)),
-        noise_scale=float(doc.get("noise_scale", 5.0)),
-        event_effect=float(doc.get("event_effect", 1.25)),
-        events=tuple(events),
-    )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_scenario_json(path: str | Path, scenario: Scenario) -> None:
-    doc = {
-        "t_max": scenario.t_max,
-        "n": scenario.n,
-        "seed": scenario.seed,
-        "base_level": scenario.base_level,
-        "noise_scale": scenario.noise_scale,
-        "event_effect": scenario.event_effect,
-        "events": [
-            {
-                "period": e.period,
-                "kind": e.kind.value,
-                "role": e.role,
-                "count": e.count,
-            }
-            for e in scenario.events
-        ],
-    }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    """Write a scenario document; its keys are the Scenario and ScenarioEvent fields."""
+    atomic_write_text(path, json.dumps(dataclasses.asdict(scenario), indent=2) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ModeFixture:
     """The shipped 57-period reference table of per-period indicator scalars.
 
@@ -352,59 +340,28 @@ class ModeFixture:
 
 
 def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
-    """Load the reference mode-comparison fixture (the shipped one by default)."""
+    """Load the reference mode-comparison fixture (the shipped one by default).
+
+    Header ``t,basic,universal_competencies,delta``, t from 1; the declared
+    totals come from ``# declared_total_<basic|competency|delta>=`` comments.
+    """
     if path is None:
-        ref = importlib.resources.files("ucindex") / "data" / _FIXTURE_RESOURCE
-        text = ref.read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-
-    declared: dict[str, float] = {}
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped.startswith("#") and "=" in stripped:
-            key, _, value = stripped.lstrip("# ").partition("=")
-            if key.startswith("declared_total_"):
-                declared[key] = float(value)
-
-    lines = _data_lines(text)
-    if not lines:
-        raise ParseError("fixture has no header row")
-    header_lineno, header = lines[0]
-    if [f.strip() for f in header.split(",")] != [
-        "t",
-        "basic",
-        "universal_competencies",
-        "delta",
-    ]:
-        raise ParseError(
-            "fixture header must be 't,basic,universal_competencies,delta'",
-            line=header_lineno,
-        )
-    periods: list[int] = []
-    basic: list[float] = []
-    competency: list[float] = []
-    delta: list[float] = []
-    for lineno, raw in lines[1:]:
-        parts = raw.split(",")
-        if len(parts) != 4:
-            raise RaggedRow(f"expected 4 fields, got {len(parts)}", line=lineno)
-        try:
-            periods.append(int(parts[0]))
-            basic.append(float(parts[1]))
-            competency.append(float(parts[2]))
-            delta.append(float(parts[3]))
-        except ValueError:
-            raise ParseError(f"unparseable fixture row {raw!r}", line=lineno)
-    for key in ("declared_total_basic", "declared_total_competency", "declared_total_delta"):
-        if key not in declared:
-            raise ParseError(f"fixture is missing the '# {key}=' comment")
+        path = importlib.resources.files("ucindex") / "data" / _FIXTURE_RESOURCE
+    table = _read_table(path, "t", ("basic", "universal_competencies", "delta"))
+    try:
+        declared = [float(table.meta[f"declared_total_{name}"])
+                    for name in ("basic", "competency", "delta")]
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"fixture lacks a numeric '# declared_total_...=' comment: {exc}") from None
+    if not np.isfinite(declared).all():
+        raise NonFiniteValue(f"fixture declares non-finite totals {declared}")
+    basic, competency, delta = (tuple(column) for column in table.cells.T.tolist())
     return ModeFixture(
-        periods=tuple(periods),
-        basic=tuple(basic),
-        competency=tuple(competency),
-        delta_printed=tuple(delta),
-        declared_total_basic=declared["declared_total_basic"],
-        declared_total_competency=declared["declared_total_competency"],
-        declared_total_delta=declared["declared_total_delta"],
+        periods=tuple(range(1, len(basic) + 1)),
+        basic=basic,
+        competency=competency,
+        delta_printed=delta,
+        declared_total_basic=declared[0],
+        declared_total_competency=declared[1],
+        declared_total_delta=declared[2],
     )

@@ -1,6 +1,6 @@
-"""Enterprise process-system model: a dense indicator series over discrete periods.
+"""Enterprise process model: a dense indicator series over discrete periods.
 
-An enterprise is modelled as a system of processes observed over periods
+An enterprise is modelled as a set of processes observed over periods
 1..t_max. Each period carries an n-vector of process indicators (financial
 expenses and incomes, thousand rubles). All types here are immutable after
 construction and all operations are pure, so values can be shared freely
@@ -11,38 +11,11 @@ Period indices are 1-based throughout the public API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteValue, WindowOutOfRange
-
-
-@dataclass(frozen=True)
-class TimeAxis:
-    """Discrete time axis of periods 1..t_max.
-
-    Parameters
-    ----------
-    t_max : int
-        Number of periods, at least 1.
-    period_labels : tuple[str, ...], optional
-        Display labels, one per period.
-    """
-
-    t_max: int
-    period_labels: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.t_max < 1:
-            raise DimensionMismatch(f"t_max must be >= 1, got {self.t_max}")
-        if self.period_labels is not None:
-            labels = tuple(self.period_labels)
-            object.__setattr__(self, "period_labels", labels)
-            if len(labels) != self.t_max:
-                raise DimensionMismatch(
-                    f"period_labels has {len(labels)} entries for t_max={self.t_max}"
-                )
 
 
 @dataclass(frozen=True)
@@ -56,7 +29,7 @@ class ProcessSeries:
     Parameters
     ----------
     values : array-like, shape (n, t_max)
-        Indicator values, all finite.
+        Indicator values, all finite, over at least one period.
     variable_labels : tuple[str, ...]
         Exactly n unique names.
     """
@@ -66,9 +39,9 @@ class ProcessSeries:
 
     def __post_init__(self) -> None:
         arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 2:
+        if arr.ndim != 2 or arr.shape[1] < 1:
             raise DimensionMismatch(
-                f"values must be a 2-d matrix, got {arr.ndim} dimension(s)"
+                f"values must be an n x t_max matrix with t_max >= 1, got shape {arr.shape}"
             )
         if not np.isfinite(arr).all():
             raise NonFiniteValue("series contains NaN or infinite entries")
@@ -93,57 +66,8 @@ class ProcessSeries:
         """Number of recorded periods."""
         return self.values.shape[1]
 
-    def column(self, t: int) -> np.ndarray:
-        """Indicator vector at period t (1-based), as a copy."""
-        if not 1 <= t <= self.t_max:
-            raise WindowOutOfRange(f"period {t} outside 1..{self.t_max}")
-        return self.values[:, t - 1].copy()
 
-
-@dataclass(frozen=True)
-class ProcessSystem:
-    """The enterprise model: a time axis plus the indicator series recorded on it.
-
-    ``total_resource`` optionally records the enterprise's overall resource
-    figure (thousand rubles); it is carried as metadata and never enters the
-    indicator computation.
-    """
-
-    axis: TimeAxis
-    series: ProcessSeries
-    total_resource: float | None = field(default=None)
-
-    def __post_init__(self) -> None:
-        if self.series.t_max != self.axis.t_max:
-            raise DimensionMismatch(
-                f"series has {self.series.t_max} columns for t_max={self.axis.t_max}"
-            )
-        if self.total_resource is not None:
-            r = float(self.total_resource)
-            if not np.isfinite(r) or r < 0:
-                raise NonFiniteValue(f"total_resource must be finite and >= 0, got {r}")
-            object.__setattr__(self, "total_resource", r)
-
-
-def build_process_system(
-    axis: TimeAxis,
-    series: ProcessSeries,
-    total_resource: float | None = None,
-) -> ProcessSystem:
-    """Assemble a process system from an axis and a series.
-
-    Raises
-    ------
-    DimensionMismatch
-        If the series column count differs from ``axis.t_max``.
-    NonFiniteValue
-        Never raised here directly: a ProcessSeries cannot hold non-finite
-        entries, so the check happens at series construction.
-    """
-    return ProcessSystem(axis=axis, series=series, total_resource=total_resource)
-
-
-def slice_window(system: ProcessSystem | ProcessSeries, t: int, k: int) -> np.ndarray:
+def slice_window(series: ProcessSeries, t: int, k: int) -> np.ndarray:
     """Extract the lag-window matrix for period t.
 
     Row l (l = 1..k) of the result is the indicator vector at period t-l, so
@@ -153,7 +77,7 @@ def slice_window(system: ProcessSystem | ProcessSeries, t: int, k: int) -> np.nd
 
     Parameters
     ----------
-    system : ProcessSystem or ProcessSeries
+    series : ProcessSeries
         Source of the indicator columns.
     t : int
         Period the window precedes (1-based).
@@ -170,7 +94,6 @@ def slice_window(system: ProcessSystem | ProcessSeries, t: int, k: int) -> np.nd
     WindowOutOfRange
         If t - k < 1 or t > t_max + 1 or k < 1.
     """
-    series = system.series if isinstance(system, ProcessSystem) else system
     if k < 1:
         raise WindowOutOfRange(f"window length must be >= 1, got k={k}")
     if t - k < 1:

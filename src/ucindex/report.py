@@ -17,7 +17,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .errors import DimensionMismatch
-from .indicator import INDICATOR_UNIT, ModeComparison, scalar_per_period
+from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
 from .io_formats import atomic_write_text
 
 
@@ -49,6 +49,17 @@ class ReportTable:
                 )
 
 
+def window_metadata(config: WindowConfig | None) -> list[tuple[str, str]]:
+    """The window metadata entries of an output; ``config`` is None for precomputed scalars."""
+    if config is None:
+        return [("window_k", "none"), ("standardize", "n/a"), ("warmup", "n/a")]
+    return [
+        ("window_k", str(config.k)),
+        ("standardize", "true" if config.standardize else "false"),
+        ("warmup", config.warmup.value),
+    ]
+
+
 def build_report_table(
     comparison: ModeComparison,
     derivation: str | None = None,
@@ -60,14 +71,12 @@ def build_report_table(
     a compliance matrix, when one was used; it is echoed in the metadata so
     the report is auditable.
     """
-    basic_scalars = scalar_per_period(comparison.basic)
-    competency_scalars = scalar_per_period(comparison.competency)
     rows = tuple(
         (t, float(b), float(c), float(d))
         for t, b, c, d in zip(
             comparison.periods,
-            basic_scalars,
-            competency_scalars,
+            comparison.basic_scalars,
+            comparison.competency_scalars,
             comparison.delta_per_period,
         )
     )
@@ -77,13 +86,6 @@ def build_report_table(
         comparison.delta_total,
     )
 
-    config = comparison.basic.config
-    if config is None:
-        window_k, standardize, warmup = "none", "n/a", "n/a"
-    else:
-        window_k = str(config.k)
-        standardize = "true" if config.standardize else "false"
-        warmup = config.warmup.value
     first_defined = comparison.periods[0]
     excluded = "none" if first_defined <= 1 else f"1..{first_defined - 1}"
 
@@ -91,9 +93,7 @@ def build_report_table(
         ("tool", f"ucindex {__version__}"),
         ("mode_basic", comparison.basic.mode_label),
         ("mode_competency", comparison.competency.mode_label),
-        ("window_k", window_k),
-        ("standardize", standardize),
-        ("warmup", warmup),
+        *window_metadata(comparison.basic.config),
         ("warmup_excluded", excluded),
         ("derivation", derivation if derivation else "none"),
         ("unit", INDICATOR_UNIT),
@@ -112,12 +112,12 @@ def _fmt2(x: float) -> str:
 def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TABLE) -> str:
     """Render a report table to text; see module docstring for the two formats."""
     fmt = ReportFormat(fmt)
-    if fmt is ReportFormat.CSV:
-        return _render_csv(table)
-    return _render_text(table)
+    lines = _render_csv(table) if fmt is ReportFormat.CSV else _render_text(table)
+    lines.extend(f"# {key}={value}" for key, value in table.metadata)
+    return "\n".join(lines) + "\n"
 
 
-def _render_text(table: ReportTable) -> str:
+def _render_text(table: ReportTable) -> list[str]:
     header = ("t", "V_basic", "V_universal", "dV")
     body = [
         (str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in table.rows
@@ -131,12 +131,10 @@ def _render_text(table: ReportTable) -> str:
     for row in body:
         lines.append("  ".join(cell.rjust(widths[col]) for col, cell in enumerate(row)))
     lines.append("  ".join(cell.rjust(widths[col]) for col, cell in enumerate(footer)))
-    for key, value in table.metadata:
-        lines.append(f"# {key}={value}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _render_csv(table: ReportTable) -> str:
+def _render_csv(table: ReportTable) -> list[str]:
     lines = [
         "t,basic,universal_competencies,delta,"
         "basic_full,universal_competencies_full,delta_full"
@@ -147,9 +145,7 @@ def _render_csv(table: ReportTable) -> str:
         )
     tb, tc, td = table.footer
     lines.append(f"total,{_fmt2(tb)},{_fmt2(tc)},{_fmt2(td)},{tb!r},{tc!r},{td!r}")
-    for key, value in table.metadata:
-        lines.append(f"# {key}={value}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def emit_report(
@@ -169,9 +165,7 @@ def emit_plot_data(comparison: ModeComparison, path: str | Path) -> None:
     defined period; byte-identical for identical input, and readable back
     through the scalar-CSV reader for re-reporting.
     """
-    basic_scalars = scalar_per_period(comparison.basic)
-    competency_scalars = scalar_per_period(comparison.competency)
     lines = ["t,basic,universal_competencies"]
-    for t, b, c in zip(comparison.periods, basic_scalars, competency_scalars):
+    for t, b, c in zip(comparison.periods, comparison.basic_scalars, comparison.competency_scalars):
         lines.append(f"{t},{float(b)!r},{float(c)!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -96,15 +96,6 @@ class Scenario:
                 )
         role_blocks(self)  # rejects counts that exceed a role's block
 
-    @property
-    def roles(self) -> tuple[str, ...]:
-        """Distinct event roles in order of first appearance."""
-        seen: list[str] = []
-        for event in self.events:
-            if event.role not in seen:
-                seen.append(event.role)
-        return tuple(seen)
-
 
 def role_blocks(scenario: Scenario) -> dict[str, range]:
     """Contiguous variable block owned by each role.
@@ -117,7 +108,7 @@ def role_blocks(scenario: Scenario) -> dict[str, range]:
     InvalidScenario
         If an event's count exceeds its role's block size.
     """
-    roles = scenario.roles
+    roles = list(dict.fromkeys(event.role for event in scenario.events))  # in order of first appearance
     blocks: dict[str, range] = {}
     if roles:
         per_role, extra = divmod(scenario.n, len(roles))

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ucindex import ProcessSeries, write_series_csv
+import ucindex
+from ucindex import ProcessSeries
 from ucindex.cli import cli_main
+from ucindex.io_formats import write_series_csv
 
 
 def write_series(path, values: np.ndarray) -> None:
@@ -246,3 +253,43 @@ class TestCheckBudget:
             "--budget", "10", "--unit-cost", "5",
         ])
         assert code == 0
+
+
+SCALAR_HEADER = "t,basic,universal_competencies\n"
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("indicator", b"t,a\n1,\xff\n", "not UTF-8"),
+        ("indicator", b"t,a\n1,1_0\n2,1.0\n", "line 2"),
+        ("indicator", b"t,a\n1,1.0\n2,nan\n", "line 3"),
+        ("indicator", b"t,a\n1,inf\n", "line 2"),
+        ("indicator", b"t,a\n1,1e400\n", "line 2"),
+        ("report", SCALAR_HEADER.encode() + b"1,1.0,-inf\n", "line 2"),
+        ("report", b"t,basic,universal_competencies,extra\n1,1,1,1\n", "line 1"),
+        ("report", b"t,basic,universal\n1,1,1\n", "line 1"),
+        ("report", b"t,universal_competencies,basic\n1,1,1\n", "line 1"),
+    ],
+    ids=["non-utf8", "digit-grouping", "nan", "inf", "overflow", "minus-inf",
+         "extra-scalar-column", "wrong-scalar-name", "swapped-scalar-columns"],
+)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input.csv"
+    path.write_bytes(content)
+    assert cli_main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+    assert captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ucindex.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "ucindex", "--version"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"ucindex {ucindex.__version__}\n"

@@ -17,23 +17,20 @@ from ucindex import (
     check_budget,
     default_catalog,
     derive_mode_series,
-    load_catalog,
-    mapping_cost,
-    parse_catalog,
 )
+from ucindex.competencies import parse_catalog
 
 
 class TestCatalog:
     def test_shipped_catalog_has_32_entries(self):
         catalog = default_catalog()
-        assert catalog.m == 32
-        assert catalog.description(10) == "focus on the consumer"
-        assert catalog.competencies[0].description.startswith("operate with legal regulations")
-        assert catalog.description(32) == "create your own positive image"
+        assert len(catalog) == 32
+        assert catalog[10 - 1] == "focus on the consumer"
+        assert catalog[0].startswith("operate with legal regulations")
+        assert catalog[32 - 1] == "create your own positive image"
 
     def test_single_entry(self):
-        catalog = parse_catalog("1\tdo the one thing\n")
-        assert catalog.m == 1
+        assert parse_catalog("1\tdo the one thing\n") == ("do the one thing",)
 
     def test_gap_in_ids(self):
         with pytest.raises(GapInIds):
@@ -54,12 +51,7 @@ class TestCatalog:
 
     def test_comments_and_blanks_skipped(self):
         catalog = parse_catalog("# header\n\n1\tfirst\n2\tsecond\n")
-        assert catalog.m == 2
-
-    def test_load_from_file(self, tmp_path):
-        path = tmp_path / "catalog.tsv"
-        path.write_text("1\talpha\n2\tbeta\n", encoding="utf-8")
-        assert load_catalog(path).m == 2
+        assert catalog == ("first", "second")
 
 
 class TestComplianceMatrix:
@@ -80,25 +72,25 @@ class TestMappingCost:
     def test_all_zero_matrix_costs_nothing(self):
         matrix = ComplianceMatrix(entries=np.zeros((3, 4), dtype=int))
         budget = ResourceBudget(limit_c=100.0, cost_per_competency=(10.0, 20.0, 30.0))
-        assert mapping_cost(matrix, budget) == 0.0
+        assert check_budget(matrix, budget).cost == 0.0
 
     def test_only_active_rows_counted(self):
         matrix = ComplianceMatrix(entries=[[1, 0], [0, 0]])
         budget = ResourceBudget(limit_c=100.0, cost_per_competency=(10.0, 20.0))
-        assert mapping_cost(matrix, budget) == 10.0
+        assert check_budget(matrix, budget).cost == 10.0
 
     def test_single_bundle_measurement_cost(self):
         # one competency bundle mapped to every process, at the reference
         # measurement cost of 2,936 thousand rubles
         matrix = ComplianceMatrix(entries=[[1, 1, 1]])
         budget = ResourceBudget(limit_c=5_644_378.0, cost_per_competency=(2936.0,))
-        assert mapping_cost(matrix, budget) == 2936.0
+        assert check_budget(matrix, budget).cost == 2936.0
 
     def test_cost_vector_length_must_match(self):
         matrix = ComplianceMatrix(entries=[[1, 0], [0, 1]])
         budget = ResourceBudget(limit_c=1.0, cost_per_competency=(1.0,))
         with pytest.raises(DimensionMismatch):
-            mapping_cost(matrix, budget)
+            check_budget(matrix, budget)
 
     @given(st.data())
     def test_adding_a_one_never_decreases_cost(self, data):
@@ -110,14 +102,14 @@ class TestMappingCost:
         )
         costs = tuple(data.draw(st.lists(st.floats(0, 1e6), min_size=m, max_size=m)))
         budget = ResourceBudget(limit_c=0.0, cost_per_competency=costs)
-        base = mapping_cost(ComplianceMatrix(entries=entries), budget)
+        base = check_budget(ComplianceMatrix(entries=entries), budget).cost
         zero_cells = np.argwhere(entries == 0)
         if len(zero_cells) == 0:
             return
         i, j = zero_cells[data.draw(st.integers(0, len(zero_cells) - 1))]
         grown = entries.copy()
         grown[i, j] = 1
-        assert mapping_cost(ComplianceMatrix(entries=grown), budget) >= base
+        assert check_budget(ComplianceMatrix(entries=grown), budget).cost >= base
 
 
 class TestCheckBudget:

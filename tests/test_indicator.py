@@ -8,21 +8,24 @@ import pytest
 from ucindex import (
     BadWindow,
     ConfigMismatch,
-    GramCorrelationMatrix,
+    DimensionMismatch,
     NegativeIndicator,
     ProcessSeries,
     SeriesTooShort,
-    Warmup,
     WindowConfig,
     compare_modes,
-    correlation_matrix,
     gram_matrix,
     gram_matrix_bruteforce,
     indicator_series,
     ingest_precomputed,
     load_mode_fixture,
-    row_indicator,
     scalar_per_period,
+)
+from ucindex.indicator import (
+    IndicatorSeries,
+    ModeComparison,
+    Warmup,
+    row_indicator,
     standardize_window,
 )
 
@@ -110,10 +113,6 @@ class TestRowIndicator:
         entries = np.array([[1.25, -0.5], [-0.5, 2.0]])
         assert row_indicator(entries).tolist() == [1.75, 2.5]
 
-    def test_accepts_wrapper_type(self):
-        wrapped = GramCorrelationMatrix(t=5, k=2, entries=np.eye(2) * 3)
-        assert row_indicator(wrapped).tolist() == [3.0, 3.0]
-
 
 class TestStandardizeWindow:
     def test_columns_become_zero_mean_unit_variance(self):
@@ -168,15 +167,16 @@ class TestIndicatorSeries:
         by_hand = row_indicator(
             gram_matrix(series.values[:, [1, 0]].T.copy(), 2)
         )
-        np.testing.assert_allclose(result.at(3), by_hand, rtol=1e-12)
+        np.testing.assert_allclose(result.values[0], by_hand, rtol=1e-12)
 
     def test_shrink_equals_skip_after_warmup(self):
         rng = np.random.default_rng(5)
         series = labelled(rng.normal(size=(3, 15)))
         skip = indicator_series(series, WindowConfig(k=4))
         shrink = indicator_series(series, WindowConfig(k=4, warmup=Warmup.SHRINK))
-        for t in skip.periods:
-            np.testing.assert_allclose(shrink.at(t), skip.at(t), rtol=1e-12)
+        offset = shrink.periods.index(skip.periods[0])
+        assert shrink.periods[offset:] == skip.periods
+        np.testing.assert_allclose(shrink.values[offset:], skip.values, rtol=1e-12)
 
     def test_total_is_exact_sum_of_values(self):
         rng = np.random.default_rng(8)
@@ -184,8 +184,6 @@ class TestIndicatorSeries:
         assert result.total == fsum(result.values.ravel())
 
     def test_declared_total_is_validated(self):
-        from ucindex import DimensionMismatch, IndicatorSeries
-
         with pytest.raises(DimensionMismatch):
             IndicatorSeries(
                 periods=(1, 2), values=[[1.0], [2.0]], total=99.0,
@@ -193,8 +191,6 @@ class TestIndicatorSeries:
             )
 
     def test_periods_must_end_at_t_max(self):
-        from ucindex import DimensionMismatch, IndicatorSeries
-
         with pytest.raises(DimensionMismatch):
             IndicatorSeries(
                 periods=(1, 2), values=[[1.0], [2.0]], total=3.0,
@@ -202,8 +198,6 @@ class TestIndicatorSeries:
             )
 
     def test_periods_must_ascend(self):
-        from ucindex import DimensionMismatch, IndicatorSeries
-
         with pytest.raises(DimensionMismatch):
             IndicatorSeries(
                 periods=(2, 2), values=[[1.0], [2.0]], total=3.0,
@@ -295,26 +289,8 @@ class TestCompareModes:
             compare_modes(a, b)
 
     def test_direct_construction_enforces_shared_axis(self):
-        from ucindex import ModeComparison
-
         a = ingest_precomputed([1.0, 2.0], "basic")
         b = ingest_precomputed([1.0, 2.0, 3.0], "uc")
         with pytest.raises(ConfigMismatch):
-            ModeComparison(basic=a, competency=b, delta_per_period=[0.0, 0.0], delta_total=3.0)
+            ModeComparison(basic=a, competency=b)
 
-
-class TestCorrelationMatrixView:
-    def test_matches_manual_pipeline(self):
-        rng = np.random.default_rng(12)
-        series = labelled(rng.normal(size=(3, 12)))
-        config = WindowConfig(k=4)
-        wrapped = correlation_matrix(series, t=9, config=config)
-        assert (wrapped.t, wrapped.k) == (9, 4)
-        window = series.values[:, [7, 6, 5, 4]].T.copy()
-        np.testing.assert_array_equal(wrapped.entries, gram_matrix(window, 4))
-
-    def test_wrapper_validates_symmetry(self):
-        from ucindex import DimensionMismatch
-
-        with pytest.raises(DimensionMismatch):
-            GramCorrelationMatrix(t=1, k=2, entries=[[1.0, 2.0], [3.0, 4.0]])

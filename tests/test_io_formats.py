@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,17 +13,19 @@ from ucindex import (
     ParseError,
     ProcessSeries,
     RaggedRow,
-    Scenario,
-    ScenarioEvent,
     load_mode_fixture,
+    read_series_csv,
+)
+from ucindex.io_formats import (
+    atomic_write_text,
     read_compliance_csv,
     read_costs_csv,
     read_scalar_csv,
     read_scenario_json,
-    read_series_csv,
     write_scenario_json,
     write_series_csv,
 )
+from ucindex.scenario import Scenario, ScenarioEvent
 
 
 class TestSeriesCsv:
@@ -31,9 +35,8 @@ class TestSeriesCsv:
             "t,a,b,c\n1,1.0,2.0,3.0\n2,4,5,6\n3,7,8,9\n4,0,0,0\n5,1,1,1\n",
             encoding="utf-8",
         )
-        axis, series = read_series_csv(path)
+        series = read_series_csv(path)
         assert (series.n, series.t_max) == (3, 5)
-        assert axis.t_max == 5
         assert series.variable_labels == ("a", "b", "c")
         assert series.values[2, 1] == 6.0
 
@@ -78,7 +81,7 @@ class TestSeriesCsv:
     def test_comments_skipped(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("# seed=5\nt,a\n1,1.5\n", encoding="utf-8")
-        _, series = read_series_csv(path)
+        series = read_series_csv(path)
         assert series.values[0, 0] == 1.5
 
     @given(data=st.data())
@@ -96,7 +99,7 @@ class TestSeriesCsv:
         )
         path = tmp_path_factory.mktemp("roundtrip") / "s.csv"
         write_series_csv(path, series, metadata={"seed": "0"})
-        _, back = read_series_csv(path)
+        back = read_series_csv(path)
         assert np.array_equal(back.values, series.values)
         assert back.variable_labels == series.variable_labels
 
@@ -112,6 +115,23 @@ class TestSeriesCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_target_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "new \ud800\n")  # a lone surrogate has no UTF-8 form
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_file_mode_matches_a_plain_write(self, tmp_path):
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x", encoding="utf-8")
+        atomic = tmp_path / "atomic.txt"
+        atomic_write_text(atomic, "x")
+        assert os.stat(atomic).st_mode == os.stat(plain).st_mode
 
 
 class TestComplianceCsv:
@@ -205,6 +225,22 @@ class TestScenarioJson:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text("{", encoding="utf-8")
+        with pytest.raises(ParseError):
+            read_scenario_json(path)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            '"events": null',
+            '"events": [{"period": 2, "kind": "promote", "role": "ops", "count": 1}]',
+            '"events": [{"period": 2, "kind": "hire", "role": "ops", "count": "two"}]',
+            '"events": [{"period": 2, "kind": "hire", "role": "ops", "count": 1.5}]',
+        ],
+        ids=["null-events", "unknown-kind", "string-count", "fractional-count"],
+    )
+    def test_wrong_value_type_is_parse_error(self, tmp_path, extra):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"t_max": 5, "n": 2, "seed": 0, ' + extra + "}", encoding="utf-8")
         with pytest.raises(ParseError):
             read_scenario_json(path)
 

@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ucindex import (
-    DimensionMismatch,
-    NonFiniteValue,
-    ProcessSeries,
-    ProcessSystem,
-    TimeAxis,
-    WindowOutOfRange,
-    build_process_system,
-    slice_window,
-)
+from ucindex import DimensionMismatch, NonFiniteValue, ProcessSeries, WindowOutOfRange
+from ucindex.process_model import slice_window
 
 
 def make_series(n: int, t_max: int, fill: float = 0.0) -> ProcessSeries:
@@ -24,17 +16,14 @@ def make_series(n: int, t_max: int, fill: float = 0.0) -> ProcessSeries:
 
 
 class TestTimeAxis:
+    """A series covers periods 1..t_max, t_max >= 1."""
+
     def test_minimal(self):
-        assert TimeAxis(t_max=1).t_max == 1
+        assert make_series(1, 1).t_max == 1
 
     def test_rejects_zero_periods(self):
         with pytest.raises(DimensionMismatch):
-            TimeAxis(t_max=0)
-
-    def test_labels_must_match_length(self):
-        TimeAxis(t_max=2, period_labels=("a", "b"))
-        with pytest.raises(DimensionMismatch):
-            TimeAxis(t_max=2, period_labels=("a",))
+            make_series(2, 0)
 
 
 class TestProcessSeries:
@@ -69,63 +58,41 @@ class TestProcessSeries:
             s.values[0, 0] = 5.0
 
 
-class TestBuildProcessSystem:
-    def test_reference_sized_system(self):
-        system = build_process_system(TimeAxis(t_max=57), make_series(32, 57))
-        assert system.axis.t_max == 57
-        assert system.series.n == 32
-
-    def test_single_cell(self):
-        system = build_process_system(TimeAxis(t_max=1), make_series(1, 1))
-        assert system.series.values.shape == (1, 1)
-
-    def test_rejects_column_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            build_process_system(TimeAxis(t_max=5), make_series(2, 4))
-
-    def test_rejects_negative_resource(self):
-        with pytest.raises(NonFiniteValue):
-            build_process_system(TimeAxis(t_max=1), make_series(1, 1), total_resource=-1.0)
-
-
 @pytest.fixture
-def counting_system() -> ProcessSystem:
+def counting_series() -> ProcessSeries:
     # one variable whose value at period t is simply t
-    values = np.arange(1.0, 6.0).reshape(1, 5)
-    return build_process_system(
-        TimeAxis(t_max=5), ProcessSeries(values=values, variable_labels=("x",))
-    )
+    return ProcessSeries(values=np.arange(1.0, 6.0).reshape(1, 5), variable_labels=("x",))
 
 
 class TestSliceWindow:
-    def test_rows_are_lagged_columns(self, counting_system):
-        window = slice_window(counting_system, t=4, k=2)
+    def test_rows_are_lagged_columns(self, counting_series):
+        window = slice_window(counting_series, t=4, k=2)
         assert window.tolist() == [[3.0], [2.0]]
 
-    def test_full_history_window(self, counting_system):
-        window = slice_window(counting_system, t=5, k=4)
+    def test_full_history_window(self, counting_series):
+        window = slice_window(counting_series, t=5, k=4)
         assert window.ravel().tolist() == [4.0, 3.0, 2.0, 1.0]
 
-    def test_window_after_last_period(self, counting_system):
-        window = slice_window(counting_system, t=6, k=3)
+    def test_window_after_last_period(self, counting_series):
+        window = slice_window(counting_series, t=6, k=3)
         assert window.ravel().tolist() == [5.0, 4.0, 3.0]
 
-    def test_out_of_range_before_history(self, counting_system):
+    def test_out_of_range_before_history(self, counting_series):
         with pytest.raises(WindowOutOfRange):
-            slice_window(counting_system, t=3, k=3)
+            slice_window(counting_series, t=3, k=3)
 
-    def test_out_of_range_after_history(self, counting_system):
+    def test_out_of_range_after_history(self, counting_series):
         with pytest.raises(WindowOutOfRange):
-            slice_window(counting_system, t=7, k=2)
+            slice_window(counting_series, t=7, k=2)
 
-    def test_result_is_a_copy(self, counting_system):
-        window = slice_window(counting_system, t=4, k=2)
+    def test_result_is_a_copy(self, counting_series):
+        window = slice_window(counting_series, t=4, k=2)
         window[0, 0] = 123.0
-        assert counting_system.series.values[0, 2] == 3.0
+        assert counting_series.values[0, 2] == 3.0
 
-    def test_repeated_calls_identical(self, counting_system):
-        a = slice_window(counting_system, t=5, k=3)
-        b = slice_window(counting_system, t=5, k=3)
+    def test_repeated_calls_identical(self, counting_series):
+        a = slice_window(counting_series, t=5, k=3)
+        b = slice_window(counting_series, t=5, k=3)
         assert np.array_equal(a, b)
 
     @given(

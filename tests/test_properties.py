@@ -15,8 +15,8 @@ from ucindex import (
     gram_matrix_bruteforce,
     indicator_series,
     scalar_per_period,
-    standardize_window,
 )
+from ucindex.indicator import standardize_window
 
 
 def random_window(rng: np.random.Generator) -> tuple[np.ndarray, int]:

@@ -4,14 +4,12 @@ import pytest
 
 from ucindex import (
     DimensionMismatch,
-    ReportTable,
-    build_report_table,
     compare_modes,
-    emit_plot_data,
     emit_report,
     ingest_precomputed,
     load_mode_fixture,
 )
+from ucindex.report import ReportTable, build_report_table, emit_plot_data
 
 
 @pytest.fixture(scope="module")

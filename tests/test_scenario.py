@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from ucindex import (
-    EventKind,
     InvalidScenario,
-    Scenario,
-    ScenarioEvent,
     WindowConfig,
     generate_series,
     indicator_series,
     reference_scenario,
-    role_blocks,
 )
+from ucindex.scenario import EventKind, Scenario, ScenarioEvent, role_blocks
 
 
 def test_no_events_no_noise_gives_constant_identical_series():
