@@ -137,8 +137,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    periods, basic_scalars, competency_scalars = read_scalar_csv(args.scalars)
-    first = periods[0]
+    first, basic_scalars, competency_scalars = read_scalar_csv(args.scalars)
     basic = ingest_precomputed(basic_scalars, BASIC_LABEL, first_period=first)
     competency = ingest_precomputed(competency_scalars, COMPETENCY_LABEL, first_period=first)
     comparison = compare_modes(basic, competency)
@@ -176,17 +175,15 @@ def cmd_fixture_verify(args: argparse.Namespace) -> int:
         ("competency_total", comparison.competency.total, fixture.declared_total_competency),
         ("delta_total", comparison.delta_total, fixture.declared_total_delta),
     )
-    ok = True
+    failed = []
     for name, computed, declared in checks:
         print(f"{name}={computed:.2f}")
         if abs(computed - declared) > FIXTURE_TOLERANCE:
-            print(
-                f"error: {name} {computed:.4f} differs from declared "
-                f"{declared:.2f} by more than {FIXTURE_TOLERANCE}",
-                file=sys.stderr,
-            )
-            ok = False
-    return 0 if ok else 1
+            failed.append(f"{name} {computed:.4f} differs from declared {declared:.2f}")
+    if failed:
+        print(f"error: {'; '.join(failed)} (by more than {FIXTURE_TOLERANCE})", file=sys.stderr)
+        return 1
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,8 +16,9 @@ are not centered or scaled unless ``standardize`` is switched on, which is
 an explicitly non-default variant. On monetary inputs the indicator is
 therefore expressed in squared input units (see ``INDICATOR_UNIT``).
 
-Totals are accumulated with exact (Shewchuk) summation via ``math.fsum`` so
-results do not depend on evaluation order.
+Totals and deltas are exact (Shewchuk) sums via ``math.fsum`` of the stored
+values; a delta, per period or in total, is one sum over the competency values
+and the negated basic values, so large, nearly equal modes do not cancel.
 """
 
 from __future__ import annotations
@@ -84,45 +85,47 @@ class WindowConfig:
 class IndicatorSeries:
     """Per-period per-variable indicators plus their exact grand total.
 
-    ``values[r, i]`` is the indicator of variable i at the r-th defined
-    period ``periods[r]``. ``total`` equals the sum of every stored value.
-    ``config`` is None for series ingested from precomputed scalars.
+    ``values[r, i]`` is the indicator of variable i at period
+    ``first_period + r``; periods run consecutively to ``t_max``. ``total``
+    is the exact sum of every stored value. ``config`` is None for series
+    ingested from precomputed scalars.
     """
 
-    periods: tuple[int, ...]
+    first_period: int
     values: np.ndarray
-    total: float
-    t_max: int
     config: WindowConfig | None
     mode_label: str
+    total: float = field(init=False)
 
     def __post_init__(self) -> None:
-        periods = tuple(int(t) for t in self.periods)
-        object.__setattr__(self, "periods", periods)
-        if not periods:
-            raise SeriesTooShort("an indicator series needs at least one defined period")
-        if periods[0] < 1 or any(b <= a for a, b in zip(periods, periods[1:])):
-            raise DimensionMismatch(f"periods must ascend from >= 1, got {periods}")
-        if periods[-1] != self.t_max:
-            raise DimensionMismatch(
-                f"last defined period {periods[-1]} must equal t_max={self.t_max}"
-            )
+        if self.first_period < 1:
+            raise DimensionMismatch(f"first defined period must be >= 1, got {self.first_period}")
         arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != len(periods):
-            raise DimensionMismatch(
-                f"values shape {arr.shape} does not match {len(periods)} defined periods"
-            )
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"values must be periods x variables, got shape {arr.shape}")
+        if len(arr) == 0:
+            raise SeriesTooShort("an indicator series needs at least one defined period")
         if not np.isfinite(arr).all():
             raise NonFiniteValue("indicator values contain NaN or infinite entries")
         if (arr < 0).any():
             raise NegativeIndicator("indicator values must be >= 0")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        exact = fsum(arr.ravel())
-        if abs(self.total - exact) > 1e-9 * max(1.0, abs(exact)):
-            raise DimensionMismatch(
-                f"declared total {self.total} differs from stored values' sum {exact}"
-            )
+        try:
+            total = fsum(arr.ravel())
+        except OverflowError:
+            raise NonFiniteValue(f"{self.mode_label}: the indicator total overflows") from None
+        object.__setattr__(self, "total", total)
+
+    @property
+    def periods(self) -> range:
+        """The defined periods, ``first_period`` to ``t_max``."""
+        return range(self.first_period, self.first_period + len(self.values))
+
+    @property
+    def t_max(self) -> int:
+        """The last defined period."""
+        return self.first_period + len(self.values) - 1
 
     @property
     def n(self) -> int:
@@ -137,7 +140,8 @@ class ModeComparison:
     Both series must cover the same defined periods with the same variable
     count and window settings. The per-period scalars of each mode (see
     :func:`scalar_per_period`) and both deltas are derived once, on
-    construction, so every consumer reads the same arrays.
+    construction, so every consumer reads the same arrays. Each delta is
+    the correctly rounded exact difference of the two modes' values.
     """
 
     basic: IndicatorSeries
@@ -159,18 +163,18 @@ class ModeComparison:
             )
         if basic.periods != competency.periods:
             raise ConfigMismatch("defined periods differ between the two series")
-        basic_scalars = scalar_per_period(basic)
-        competency_scalars = scalar_per_period(competency)
-        delta = competency_scalars - basic_scalars
-        for name, arr in (("basic_scalars", basic_scalars),
-                          ("competency_scalars", competency_scalars),
+        # one row at a time: a list of every value would cost ~32 bytes each
+        signed = np.hstack((competency.values, -basic.values))
+        delta = np.fromiter(map(fsum, map(np.ndarray.tolist, signed)), float, len(signed))
+        for name, arr in (("basic_scalars", scalar_per_period(basic)),
+                          ("competency_scalars", scalar_per_period(competency)),
                           ("delta_per_period", delta)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "delta_total", competency.total - basic.total)
+        object.__setattr__(self, "delta_total", fsum(signed.ravel()))
 
     @property
-    def periods(self) -> tuple[int, ...]:
+    def periods(self) -> range:
         return self.basic.periods
 
 
@@ -274,13 +278,14 @@ def indicator_series(
     For every period with a complete lag window (or a shrunken one of at
     least two lags, under ``Warmup.SHRINK``) this slices the window, forms
     the Gram-correlation matrix, and takes the per-variable row sums of
-    absolute values. The grand total over all defined periods and variables
-    is accumulated exactly, in ascending period order.
+    absolute values.
 
     Raises
     ------
     SeriesTooShort
         If no period admits a window under the configured warmup policy.
+    NonFiniteValue
+        If the arithmetic at some period overflows; the error names it.
     """
     ts = _defined_periods(config, series.t_max)
     if len(ts) == 0:
@@ -289,28 +294,24 @@ def indicator_series(
             f"(k={config.k}, warmup={config.warmup.value})"
         )
     rows = np.empty((len(ts), series.n))
-    for r, t in enumerate(ts):
-        k = _effective_k(config, t)
-        window = slice_window(series, t, k)
-        if config.standardize:
-            window = standardize_window(window)
-        rows[r] = row_indicator(gram_matrix(window, k))
-    total = fsum(rows.ravel())
-    return IndicatorSeries(
-        periods=tuple(ts),
-        values=rows,
-        total=total,
-        t_max=series.t_max,
-        config=config,
-        mode_label=mode_label,
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for r, t in enumerate(ts):
+                k = _effective_k(config, t)
+                window = slice_window(series, t, k)
+                if config.standardize:
+                    window = standardize_window(window)
+                rows[r] = row_indicator(gram_matrix(window, k))
+    except FloatingPointError as exc:
+        raise NonFiniteValue(f"{mode_label}, period {t}: {exc}") from None
+    return IndicatorSeries(ts.start, rows, config, mode_label)
 
 
 def scalar_per_period(series: IndicatorSeries) -> np.ndarray:
     """Collapse each defined period's n indicator values into one scalar (their sum).
 
-    Summing these scalars over all defined periods reproduces the series
-    total exactly.
+    Summing these scalars reproduces the series total up to the rounding of
+    each scalar.
     """
     return np.array([fsum(row) for row in series.values])
 
@@ -323,9 +324,9 @@ def ingest_precomputed(
     """Wrap already-computed per-period indicator scalars as an IndicatorSeries.
 
     The values are treated as a single-variable series starting at
-    ``first_period``; the total is their exact sum. This is the entry path
-    for externally published per-period results, which can then flow through
-    :func:`compare_modes` and the report emitters unchanged.
+    ``first_period``. This is the entry path for externally published
+    per-period results, which can then flow through :func:`compare_modes`
+    and the report emitters unchanged.
 
     Raises
     ------
@@ -334,24 +335,10 @@ def ingest_precomputed(
     NegativeIndicator
         If any value is negative.
     NonFiniteValue
-        If any value is NaN or infinite.
+        If any value is NaN or infinite, or their total overflows.
     """
-    arr = np.array(list(scalars), dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise SeriesTooShort(
-            "precomputed series must be a flat sequence with at least one value"
-        )
-    periods = tuple(range(first_period, first_period + arr.size))
-    return IndicatorSeries(
-        periods=periods,
-        values=arr.reshape(-1, 1),
-        # fsum raises on inf + -inf; leaving non-finite entries out lets the
-        # constructor report them as NonFiniteValue instead
-        total=fsum(arr[np.isfinite(arr)]),
-        t_max=periods[-1],
-        config=None,
-        mode_label=mode_label,
-    )
+    values = np.array(list(scalars), dtype=float)[:, np.newaxis]
+    return IndicatorSeries(first_period, values, None, mode_label)
 
 
 def compare_modes(basic: IndicatorSeries, competency: IndicatorSeries) -> ModeComparison:

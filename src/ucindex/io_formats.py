@@ -60,22 +60,25 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
     The temporary file sits in the target's directory, so concurrent writers
     never share it. If the write fails it is removed and the target is left
-    as it was.
+    as it was. An OSError names ``path``, not the temporary file.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
-        # mkstemp creates the file private (0600); give it the mode a plain
-        # open() would. Reading the umask means setting it, so set it back.
-        umask = os.umask(0o022)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+                f.write(text)
+            # mkstemp creates the file private (0600); give it the mode a plain
+            # open() would. Reading the umask means setting it, so set it back.
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _read_text(path) -> str:
@@ -245,15 +248,14 @@ def read_costs_csv(path: str | Path) -> tuple[float, ...]:
     return tuple(_read_table(path, "competency_id", ("cost",)).cells[:, 0].tolist())
 
 
-def read_scalar_csv(path: str | Path) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     """Read per-period scalar pairs (header exactly ``t,basic,universal_competencies``).
 
-    Returns the period indices and the two scalar columns. Periods must be
+    Returns the first period and the two scalar columns. Periods must be
     consecutive; they need not start at 1 (reports may begin after warmup).
     """
     table = _read_table(path, "t", ("basic", "universal_competencies"), first=None)
-    periods = tuple(range(table.first, table.first + len(table.cells)))
-    return periods, table.cells[:, 0], table.cells[:, 1]
+    return table.first, table.cells[:, 0], table.cells[:, 1]
 
 
 def _object(value, where: str, keys: set[str], required: set[str]) -> dict:
@@ -330,13 +332,17 @@ class ModeFixture:
     table's own footer values.
     """
 
-    periods: tuple[int, ...]
     basic: tuple[float, ...]
     competency: tuple[float, ...]
     delta_printed: tuple[float, ...]
     declared_total_basic: float
     declared_total_competency: float
     declared_total_delta: float
+
+    @property
+    def periods(self) -> range:
+        """The table's periods, consecutive from 1."""
+        return range(1, len(self.basic) + 1)
 
 
 def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
@@ -357,7 +363,6 @@ def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
         raise NonFiniteValue(f"fixture declares non-finite totals {declared}")
     basic, competency, delta = (tuple(column) for column in table.cells.T.tolist())
     return ModeFixture(
-        periods=tuple(range(1, len(basic) + 1)),
         basic=basic,
         competency=competency,
         delta_printed=delta,

@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from math import fsum
 from pathlib import Path
 
 from ._version import __version__
-from .errors import DimensionMismatch
 from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
 from .io_formats import atomic_write_text
 
@@ -28,25 +26,14 @@ class ReportFormat(str, Enum):
 
 @dataclass(frozen=True)
 class ReportTable:
-    """Renderable mode-comparison table: per-period rows, a totals footer, metadata.
+    """Renderable mode-comparison table: a comparison plus its metadata.
 
-    Rows hold full-precision values; rounding happens only at render time.
-    The footer must equal the column sums of the rows (1e-9 relative).
+    The renderers read the per-period rows and the totals footer from the
+    comparison at full precision; rounding happens only at render time.
     """
 
-    rows: tuple[tuple[int, float, float, float], ...]
-    footer: tuple[float, float, float]
+    comparison: ModeComparison
     metadata: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        object.__setattr__(self, "metadata", tuple(tuple(m) for m in self.metadata))
-        for col, declared in enumerate(self.footer, start=1):
-            column_sum = fsum(row[col] for row in self.rows)
-            if abs(declared - column_sum) > 1e-9 * max(1.0, abs(column_sum)):
-                raise DimensionMismatch(
-                    f"footer value {declared} differs from column sum {column_sum}"
-                )
 
 
 def window_metadata(config: WindowConfig | None) -> list[tuple[str, str]]:
@@ -71,21 +58,6 @@ def build_report_table(
     a compliance matrix, when one was used; it is echoed in the metadata so
     the report is auditable.
     """
-    rows = tuple(
-        (t, float(b), float(c), float(d))
-        for t, b, c, d in zip(
-            comparison.periods,
-            comparison.basic_scalars,
-            comparison.competency_scalars,
-            comparison.delta_per_period,
-        )
-    )
-    footer = (
-        comparison.basic.total,
-        comparison.competency.total,
-        comparison.delta_total,
-    )
-
     first_defined = comparison.periods[0]
     excluded = "none" if first_defined <= 1 else f"1..{first_defined - 1}"
 
@@ -101,7 +73,7 @@ def build_report_table(
     if stamp:
         now = datetime.now(timezone.utc).replace(microsecond=0)
         metadata.append(("generated", now.isoformat()))
-    return ReportTable(rows=rows, footer=footer, metadata=tuple(metadata))
+    return ReportTable(comparison, tuple(metadata))
 
 
 def _fmt2(x: float) -> str:
@@ -117,12 +89,18 @@ def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TAB
     return "\n".join(lines) + "\n"
 
 
+def _rows(table: ReportTable):
+    c = table.comparison
+    rows = zip(c.periods, c.basic_scalars.tolist(), c.competency_scalars.tolist(),
+               c.delta_per_period.tolist())
+    return rows, (c.basic.total, c.competency.total, c.delta_total)
+
+
 def _render_text(table: ReportTable) -> list[str]:
+    rows, totals = _rows(table)
     header = ("t", "V_basic", "V_universal", "dV")
-    body = [
-        (str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in table.rows
-    ]
-    footer = ("Total", _fmt2(table.footer[0]), _fmt2(table.footer[1]), _fmt2(table.footer[2]))
+    body = [(str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in rows]
+    footer = ("Total", *map(_fmt2, totals))
     widths = [
         max(len(header[col]), len(footer[col]), *(len(row[col]) for row in body))
         for col in range(4)
@@ -135,15 +113,15 @@ def _render_text(table: ReportTable) -> list[str]:
 
 
 def _render_csv(table: ReportTable) -> list[str]:
+    rows, (tb, tc, td) = _rows(table)
     lines = [
         "t,basic,universal_competencies,delta,"
         "basic_full,universal_competencies_full,delta_full"
     ]
-    for t, b, c, d in table.rows:
+    for t, b, c, d in rows:
         lines.append(
             f"{t},{_fmt2(b)},{_fmt2(c)},{_fmt2(d)},{b!r},{c!r},{d!r}"
         )
-    tb, tc, td = table.footer
     lines.append(f"total,{_fmt2(tb)},{_fmt2(tc)},{_fmt2(td)},{tb!r},{tc!r},{td!r}")
     return lines
 

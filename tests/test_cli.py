@@ -48,7 +48,16 @@ class TestFixtureVerify:
             encoding="utf-8",
         )
         assert cli_main(["fixture-verify", "--fixture", str(bad)]) == 1
-        assert "differs from declared" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        # basic (1 vs 100) and delta (1 vs -98) are off; competency (2 vs 2) is not
+        assert "basic_total 1.0000 differs from declared 100.00" in errors[0]
+        assert "delta_total 1.0000 differs from declared -98.00" in errors[0]
+        assert "competency_total" not in errors[0]
+        assert captured.out.splitlines() == [
+            "basic_total=1.00", "competency_total=2.00", "delta_total=1.00",
+        ]
 
 
 class TestUsageErrors:
@@ -139,6 +148,32 @@ class TestCompare:
         assert code == 0
         assert "# derivation=weight" in capsys.readouterr().out
 
+    def test_unwritable_out_names_the_given_path(self, small_series, tmp_path, capsys):
+        out = tmp_path / "nodir" / "x.txt"
+        code = cli_main([
+            "compare", "--basic", str(small_series),
+            "--universal", str(small_series), "--window", "4", "--out", str(out),
+        ])
+        assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert errors[0].endswith(f"'{out}'")
+        assert ".tmp" not in errors[0]
+
+    def test_nearly_equal_modes_report_the_exact_delta(self, nearly_equal_series, tmp_path,
+                                                       capsys):
+        basic, universal = tmp_path / "basic.csv", tmp_path / "universal.csv"
+        for path, values in zip((basic, universal), nearly_equal_series):
+            write_series(path, values.T)
+        code = cli_main([
+            "compare", "--basic", str(basic), "--universal", str(universal),
+            "--window", "12", "--format", "csv",
+        ])
+        assert code == 0
+        total = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("total,"))
+        assert total.split(",")[-1] == "10396227.5"
+
     def test_plot_data_written(self, small_series, tmp_path):
         plot = tmp_path / "plot.csv"
         code = cli_main([
@@ -208,6 +243,18 @@ class TestReport:
         assert "Total" in out
         assert "# window_k=none" in out
 
+    def test_nearly_equal_scalars_report_the_exact_delta(self, nearly_equal_scalars, tmp_path,
+                                                         capsys):
+        basic, universal = (x.tolist() for x in nearly_equal_scalars)
+        path = tmp_path / "scalars.csv"
+        path.write_text(SCALAR_HEADER + "".join(
+            f"{t},{b!r},{c!r}\n" for t, (b, c) in enumerate(zip(basic, universal), start=1)
+        ), encoding="utf-8")
+        assert cli_main(["report", str(path), "--format", "csv"]) == 0
+        total = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("total,"))
+        assert total.split(",")[-1] == "4948.375"
+
     def test_domain_error_on_malformed_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,basic,universal_competencies\n1,1.0\n", encoding="utf-8")
@@ -256,6 +303,10 @@ class TestCheckBudget:
 
 
 SCALAR_HEADER = "t,basic,universal_competencies\n"
+# variable b is 1e200 at period 6, which enters the windows of periods 7..9 at k=3
+SPIKED_SERIES = "t,a,b,c\n" + "".join(
+    f"{t},{t},{'1e200' if t == 6 else t + 1},{2 * t}\n" for t in range(1, 21)
+)
 
 
 @pytest.mark.parametrize(
@@ -270,14 +321,20 @@ SCALAR_HEADER = "t,basic,universal_competencies\n"
         ("report", b"t,basic,universal_competencies,extra\n1,1,1,1\n", "line 1"),
         ("report", b"t,basic,universal\n1,1,1\n", "line 1"),
         ("report", b"t,universal_competencies,basic\n1,1,1\n", "line 1"),
+        ("report", SCALAR_HEADER.encode() + b"1,1e308,1e308\n2,1e308,1e308\n",
+         "NonFiniteValue: basic: the indicator total overflows"),
+        ("indicator --window 3", SPIKED_SERIES.encode(), "NonFiniteValue: series, period 7:"),
+        ("indicator --window 3 --standardize", SPIKED_SERIES.encode(),
+         "NonFiniteValue: series, period 7:"),
     ],
     ids=["non-utf8", "digit-grouping", "nan", "inf", "overflow", "minus-inf",
-         "extra-scalar-column", "wrong-scalar-name", "swapped-scalar-columns"],
+         "extra-scalar-column", "wrong-scalar-name", "swapped-scalar-columns",
+         "total-overflow", "kernel-overflow", "kernel-overflow-standardized"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.csv"
     path.write_bytes(content)
-    assert cli_main([command, str(path)]) == 1
+    assert cli_main([*command.split(), str(path)]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import fsum
 
 import numpy as np
@@ -10,6 +11,7 @@ from ucindex import (
     ConfigMismatch,
     DimensionMismatch,
     NegativeIndicator,
+    NonFiniteValue,
     ProcessSeries,
     SeriesTooShort,
     WindowConfig,
@@ -34,6 +36,19 @@ def labelled(values: np.ndarray) -> ProcessSeries:
     return ProcessSeries(
         values=values, variable_labels=tuple(f"v{i}" for i in range(values.shape[0]))
     )
+
+
+def exact_sum(values) -> Fraction:
+    return sum(map(Fraction, np.ravel(values).tolist()), Fraction(0))
+
+
+def assert_exact_deltas(comparison: ModeComparison) -> None:
+    """Each delta equals the exact difference of the two modes' values, rounded once."""
+    pairs = zip(comparison.basic.values, comparison.competency.values)
+    want = [float(exact_sum(c) - exact_sum(b)) for b, c in pairs]
+    assert comparison.delta_per_period.tolist() == want
+    basic, competency = comparison.basic.values, comparison.competency.values
+    assert comparison.delta_total == float(exact_sum(competency) - exact_sum(basic))
 
 
 def brute_force_total(series: ProcessSeries, k: int) -> float:
@@ -144,7 +159,7 @@ class TestIndicatorSeries:
     def test_constant_ones_closed_form(self):
         # every window is all ones: r_ij = k/(k-1), row sum = n*k/(k-1)
         result = indicator_series(labelled(np.ones((3, 20))), WindowConfig(k=5))
-        assert result.periods == tuple(range(6, 21))
+        assert result.periods == range(6, 21)
         np.testing.assert_allclose(result.values, 3.75, rtol=1e-12)
         np.testing.assert_allclose(scalar_per_period(result), 11.25, rtol=1e-12)
 
@@ -183,26 +198,33 @@ class TestIndicatorSeries:
         result = indicator_series(labelled(rng.normal(size=(5, 30))), WindowConfig(k=7))
         assert result.total == fsum(result.values.ravel())
 
-    def test_declared_total_is_validated(self):
-        with pytest.raises(DimensionMismatch):
-            IndicatorSeries(
-                periods=(1, 2), values=[[1.0], [2.0]], total=99.0,
-                t_max=2, config=None, mode_label="basic",
-            )
+    def test_periods_and_t_max_derive_from_first_period(self):
+        series = IndicatorSeries(4, [[1.0], [2.0], [3.0]], None, "basic")
+        assert series.periods == range(4, 7)
+        assert series.t_max == 6
+        assert series.total == 6.0
 
-    def test_periods_must_end_at_t_max(self):
-        with pytest.raises(DimensionMismatch):
-            IndicatorSeries(
-                periods=(1, 2), values=[[1.0], [2.0]], total=3.0,
-                t_max=5, config=None, mode_label="basic",
-            )
+    @pytest.mark.parametrize(
+        "first_period, values, error",
+        [(0, [[1.0]], DimensionMismatch), (1, [1.0, 2.0], DimensionMismatch),
+         (1, np.empty((0, 1)), SeriesTooShort)],
+        ids=["first-period-zero", "flat-values", "no-periods"],
+    )
+    def test_rejects_bad_first_period_or_shape(self, first_period, values, error):
+        with pytest.raises(error):
+            IndicatorSeries(first_period, values, None, "basic")
 
-    def test_periods_must_ascend(self):
-        with pytest.raises(DimensionMismatch):
-            IndicatorSeries(
-                periods=(2, 2), values=[[1.0], [2.0]], total=3.0,
-                t_max=2, config=None, mode_label="basic",
-            )
+    def test_overflow_names_label_and_period(self):
+        values = np.arange(1.0, 61.0).reshape(3, 20)
+        values[1, 5] = 1e200  # variable 2 at period 6 enters the windows of periods 7..9
+        for standardize in (False, True):
+            config = WindowConfig(k=3, standardize=standardize)
+            with pytest.raises(NonFiniteValue, match="spiked, period 7: overflow"):
+                indicator_series(labelled(values), config, "spiked")
+
+    def test_overflowing_total_is_non_finite_value(self):
+        with pytest.raises(NonFiniteValue, match="big: the indicator total overflows"):
+            IndicatorSeries(1, [[1e308], [1e308]], None, "big")
 
 
 class TestScalarPerPeriod:
@@ -224,13 +246,17 @@ class TestIngestPrecomputed:
     def test_single_value(self):
         series = ingest_precomputed([5.0], "basic")
         assert series.total == 5.0
-        assert series.periods == (1,)
+        assert series.periods == range(1, 2)
         assert series.n == 1
         assert series.config is None
 
     def test_rejects_empty(self):
         with pytest.raises(SeriesTooShort):
             ingest_precomputed([], "basic")
+
+    def test_rejects_nested_values(self):
+        with pytest.raises(DimensionMismatch):
+            ingest_precomputed([[1.0, 2.0]], "basic")
 
     def test_rejects_negative(self):
         with pytest.raises(NegativeIndicator):
@@ -287,6 +313,19 @@ class TestCompareModes:
         b = indicator_series(labelled(np.ones((3, 10))), WindowConfig(k=3), "uc")
         with pytest.raises(ConfigMismatch):
             compare_modes(a, b)
+
+    def test_deltas_are_exact_on_the_computed_path(self, nearly_equal_series):
+        config = WindowConfig(k=12)
+        basic, competency = (indicator_series(labelled(x.T), config) for x in nearly_equal_series)
+        comparison = compare_modes(basic, competency)
+        assert_exact_deltas(comparison)
+        assert comparison.delta_total == 10396227.5
+
+    def test_deltas_are_exact_on_the_ingest_path(self, nearly_equal_scalars):
+        basic, competency = (ingest_precomputed(x, "mode") for x in nearly_equal_scalars)
+        comparison = compare_modes(basic, competency)
+        assert_exact_deltas(comparison)
+        assert comparison.delta_total == 4948.375
 
     def test_direct_construction_enforces_shared_axis(self):
         a = ingest_precomputed([1.0, 2.0], "basic")

@@ -186,8 +186,8 @@ class TestScalarCsv:
             "t,basic,universal_competencies\n13,1.5,2.5\n14,3.0,4.0\n",
             encoding="utf-8",
         )
-        periods, basic, competency = read_scalar_csv(path)
-        assert periods == (13, 14)
+        first, basic, competency = read_scalar_csv(path)
+        assert first == 13
         assert basic.tolist() == [1.5, 3.0]
         assert competency.tolist() == [2.5, 4.0]
 
@@ -248,7 +248,7 @@ class TestScenarioJson:
 class TestModeFixture:
     def test_shipped_fixture_shape(self):
         fixture = load_mode_fixture()
-        assert fixture.periods == tuple(range(1, 58))
+        assert fixture.periods == range(1, 58)
         assert len(fixture.basic) == 57
         assert fixture.declared_total_basic == 5069.93
         assert fixture.declared_total_competency == 5491.17
