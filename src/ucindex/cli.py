@@ -24,7 +24,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .competencies import DerivationRule, ResourceBudget, check_budget, derive_mode_series
-from .errors import UcindexError
+from .errors import InvalidScenario, UcindexError
 from .indicator import (
     Warmup,
     WindowConfig,
@@ -53,14 +53,6 @@ BASIC_LABEL = "basic"
 COMPETENCY_LABEL = "universal-competencies"
 
 
-def _window_config(args: argparse.Namespace) -> WindowConfig:
-    return WindowConfig(
-        k=args.window,
-        standardize=args.standardize,
-        warmup=Warmup(args.warmup),
-    )
-
-
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         atomic_write_text(out, text)
@@ -79,12 +71,12 @@ def _add_window_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_indicator(args: argparse.Namespace) -> int:
     series = read_series_csv(args.series)
-    result = indicator_series(series, _window_config(args), mode_label=args.label)
+    config = WindowConfig(args.window, args.standardize, args.warmup)
+    result = indicator_series(series, config, mode_label=args.label)
     scalars = scalar_per_period(result)
     lines = ["t," + ",".join(series.variable_labels) + ",scalar"]
-    for r, t in enumerate(result.periods):
-        values = ",".join(repr(float(v)) for v in result.values[r])
-        lines.append(f"{t},{values},{float(scalars[r])!r}")
+    for t, values, scalar in zip(result.periods, result.values.tolist(), scalars.tolist()):
+        lines.append(f"{t},{','.join(map(repr, values))},{scalar!r}")
     lines.append(f"# tool=ucindex {__version__}")
     lines.append(f"# mode={result.mode_label}")
     lines.extend(f"# {key}={value}" for key, value in window_metadata(result.config))
@@ -94,16 +86,15 @@ def cmd_indicator(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _window_config(args)
+    config = WindowConfig(args.window, args.standardize, args.warmup)
     basic_series = read_series_csv(args.basic)
     if args.universal:
         competency_series = read_series_csv(args.universal)
         derivation = None
     else:
         matrix = read_compliance_csv(args.compliance)
-        rule = DerivationRule(args.derive)
-        competency_series = derive_mode_series(basic_series, matrix, rule)
-        derivation = rule.value
+        competency_series = derive_mode_series(basic_series, matrix, args.derive)
+        derivation = args.derive
     basic = indicator_series(basic_series, config, mode_label=BASIC_LABEL)
     competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
@@ -118,7 +109,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = read_scenario_json(args.scenario) if args.scenario else reference_scenario()
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
-    basic, competency = generate_series(scenario)
+    try:
+        basic, competency = generate_series(scenario)
+    except (MemoryError, ValueError) as exc:  # too large to allocate, or to index
+        raise InvalidScenario(f"{scenario.n} x {scenario.t_max} values do not fit: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metadata = {

@@ -15,6 +15,7 @@ Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
 an explicitly non-default variant. On monetary inputs the indicator is
 therefore expressed in squared input units (see ``INDICATOR_UNIT``).
+The kernel functions raise NonFiniteValue when their arithmetic overflows.
 
 Totals and deltas are exact (Shewchuk) sums via ``math.fsum`` of the stored
 values; a delta, per period or in total, is one sum over the competency values
@@ -105,10 +106,11 @@ class IndicatorSeries:
             raise DimensionMismatch(f"values must be periods x variables, got shape {arr.shape}")
         if len(arr) == 0:
             raise SeriesTooShort("an indicator series needs at least one defined period")
-        if not np.isfinite(arr).all():
-            raise NonFiniteValue("indicator values contain NaN or infinite entries")
-        if (arr < 0).any():
-            raise NegativeIndicator("indicator values must be >= 0")
+        for bad, error, rule in ((~np.isfinite(arr), NonFiniteValue, "must be finite"),
+                                 (arr < 0, NegativeIndicator, "must be >= 0")):
+            if bad.any():
+                t = self.first_period + int(bad.any(axis=1).argmax())
+                raise error(f"{self.mode_label}, period {t}: indicator values {rule}")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         try:
@@ -163,12 +165,10 @@ class ModeComparison:
             )
         if basic.periods != competency.periods:
             raise ConfigMismatch("defined periods differ between the two series")
-        # one row at a time: a list of every value would cost ~32 bytes each
         signed = np.hstack((competency.values, -basic.values))
-        delta = np.fromiter(map(fsum, map(np.ndarray.tolist, signed)), float, len(signed))
         for name, arr in (("basic_scalars", scalar_per_period(basic)),
                           ("competency_scalars", scalar_per_period(competency)),
-                          ("delta_per_period", delta)):
+                          ("delta_per_period", _row_sums(signed))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "delta_total", fsum(signed.ravel()))
@@ -176,6 +176,14 @@ class ModeComparison:
     @property
     def periods(self) -> range:
         return self.basic.periods
+
+
+def _raise_non_finite(error: str, flag: int) -> None:
+    raise NonFiniteValue(f"{error} encountered")
+
+
+# a decorator only: numpy then sets the state per call, so threads and nested calls are safe
+_finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
 def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
@@ -190,27 +198,29 @@ def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
+@_finite
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     """Cross-moment matrix W'W / (k-1) of a k x n lag window.
 
     Entries are accumulated lag by lag in ascending order (one rank-1 update
-    per window row), so the reduction order is fixed and results never
-    depend on a BLAS blocking choice. Symmetry is bit-exact without any
-    mirroring step: IEEE multiplication commutes exactly, so entries (i, j)
-    and (j, i) add the same products in the same lag order.
+    per window row, into one reused buffer), so the reduction order is fixed
+    and results never depend on a BLAS blocking choice. Symmetry is bit-exact
+    without any mirroring step: IEEE multiplication commutes exactly, so
+    entries (i, j) and (j, i) add the same products in the same lag order.
 
     Raises
     ------
     BadWindow
         If k < 2 or the window row count differs from k.
     NonFiniteValue
-        If the window contains NaN or infinite entries.
+        If the window contains NaN or infinite entries, or the sums overflow.
     """
     w = _checked_window(window, k)
     n = w.shape[1]
     g = np.zeros((n, n))
+    buf = np.empty((n, n))
     for row in w:
-        g += np.outer(row, row)
+        g += np.multiply.outer(row, row, out=buf)
     g /= k - 1
     return g
 
@@ -234,6 +244,7 @@ def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
     return g
 
 
+@_finite
 def standardize_window(window: np.ndarray) -> np.ndarray:
     """Standardize each window column to zero mean, unit sample variance.
 
@@ -244,28 +255,14 @@ def standardize_window(window: np.ndarray) -> np.ndarray:
     if w.shape[0] < 2:
         raise BadWindow(f"standardization needs >= 2 rows, got shape {w.shape}")
     centered = w - w.mean(axis=0)
-    std = w.std(axis=0, ddof=1)
-    out = np.zeros_like(centered)
-    nonconstant = std > 0
-    out[:, nonconstant] = centered[:, nonconstant] / std[nonconstant]
-    return out
+    std = np.sqrt((centered * centered).sum(axis=0) / (len(w) - 1))
+    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
 
 
+@_finite
 def row_indicator(matrix: np.ndarray) -> np.ndarray:
     """Per-variable indicator: sum of absolute values along each row, diagonal included."""
     return np.abs(np.asarray(matrix, dtype=float)).sum(axis=1)
-
-
-def _effective_k(config: WindowConfig, t: int) -> int:
-    if config.warmup is Warmup.SHRINK:
-        return min(config.k, max(t - 1, MIN_SHRINK_LAGS))
-    return config.k
-
-
-def _defined_periods(config: WindowConfig, t_max: int) -> range:
-    if config.warmup is Warmup.SHRINK:
-        return range(MIN_SHRINK_LAGS + 1, t_max + 1)
-    return range(config.k + 1, t_max + 1)
 
 
 def indicator_series(
@@ -287,7 +284,8 @@ def indicator_series(
     NonFiniteValue
         If the arithmetic at some period overflows; the error names it.
     """
-    ts = _defined_periods(config, series.t_max)
+    first = (MIN_SHRINK_LAGS if config.warmup is Warmup.SHRINK else config.k) + 1
+    ts = range(first, series.t_max + 1)
     if len(ts) == 0:
         raise SeriesTooShort(
             f"t_max={series.t_max} leaves no period with a full window "
@@ -295,14 +293,13 @@ def indicator_series(
         )
     rows = np.empty((len(ts), series.n))
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            for r, t in enumerate(ts):
-                k = _effective_k(config, t)
-                window = slice_window(series, t, k)
-                if config.standardize:
-                    window = standardize_window(window)
-                rows[r] = row_indicator(gram_matrix(window, k))
-    except FloatingPointError as exc:
+        for r, t in enumerate(ts):
+            k = min(config.k, t - 1)
+            window = slice_window(series, t, k)
+            if config.standardize:
+                window = standardize_window(window)
+            rows[r] = row_indicator(gram_matrix(window, k))
+    except NonFiniteValue as exc:
         raise NonFiniteValue(f"{mode_label}, period {t}: {exc}") from None
     return IndicatorSeries(ts.start, rows, config, mode_label)
 
@@ -313,7 +310,13 @@ def scalar_per_period(series: IndicatorSeries) -> np.ndarray:
     Summing these scalars reproduces the series total up to the rounding of
     each scalar.
     """
-    return np.array([fsum(row) for row in series.values])
+    return _row_sums(series.values)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """The exact (fsum) sum of each row."""
+    # a row at a time: one list of every value would cost about 32 bytes per value
+    return np.fromiter(map(fsum, map(np.ndarray.tolist, rows)), float, len(rows))
 
 
 def ingest_precomputed(

@@ -27,12 +27,12 @@ Formats:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import importlib.resources
 import itertools
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -45,6 +45,7 @@ from .errors import (
     NonMonotonicTime,
     ParseError,
     RaggedRow,
+    UcindexError,
 )
 from .process_model import ProcessSeries
 from .scenario import Scenario, ScenarioEvent
@@ -58,21 +59,18 @@ _EVENT_KEYS = {f.name for f in dataclasses.fields(ScenarioEvent)}
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to ``path`` via a unique temporary file and an atomic rename.
 
-    The temporary file sits in the target's directory, so concurrent writers
-    never share it. If the write fails it is removed and the target is left
-    as it was. An OSError names ``path``, not the temporary file.
+    The temporary file sits in the target's directory under a fresh random
+    name, so concurrent writers never share it; the umask gives it the mode a
+    plain open() would. If the write fails it is removed and the target is
+    left as it was. An OSError names ``path``, not the temporary file.
     """
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
                 f.write(text)
-            # mkstemp creates the file private (0600); give it the mode a plain
-            # open() would. Reading the umask means setting it, so set it back.
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -81,14 +79,16 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
-def _read_text(path) -> str:
-    """Decode a file (a path or a package resource) as UTF-8."""
-    if isinstance(path, str):
-        path = Path(path)
+@contextlib.contextmanager
+def _reading(path) -> Iterator[str]:
+    """The UTF-8 text of a file or package resource; errors raised while reading it name it once."""
     try:
-        return path.read_text(encoding="utf-8")
+        yield (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except UcindexError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def _data_lines(text: str, meta: dict[str, str] | None = None) -> Iterator[tuple[int, str]]:
@@ -129,26 +129,25 @@ class _Table(NamedTuple):
     meta: dict[str, str]  # ``# key=value`` comments
 
 
-def _read_table(
-    path,
+def _parse_table(
+    text: str,
     key: str,
     columns: tuple[str, ...] | None = None,
     cell: Callable[[list[str], int], Iterable[float]] = _floats,
     first: int | None = 1,
 ) -> _Table:
-    """Read a CSV table: header ``key,<value columns>``, then one row per key.
+    """Parse a CSV table: header ``key,<value columns>``, then one row per key.
 
     ``columns`` names the value columns exactly; None accepts any nonempty
     list. Keys are integers consecutive from ``first`` (None: from whatever
     the first row holds). ``cell`` parses one row's value tokens, given the
     line number for its errors; the parsed cells must be finite.
     """
-    text = _read_text(path)
     meta: dict[str, str] = {}
     lines = _data_lines(text, meta)
     header_lineno, header = next(lines, (0, ""))
     if not header:
-        raise ParseError(f"{path}: no header row found")
+        raise ParseError("no header row found")
     names = tuple(f.strip() for f in header.split(","))
     if names[0] != key or len(names) < 2 or columns is not None and names[1:] != columns:
         spec = ",".join(columns) if columns else "<name1>,...,<namen>"
@@ -176,7 +175,7 @@ def _read_table(
         flat.extend(cell(parts[1:], lineno))
         rows += 1
     if not rows:
-        raise ParseError(f"{path}: no data rows")
+        raise ParseError("no data rows")
     cells = np.array(flat, dtype=float).reshape(rows, width - 1)
     finite = np.isfinite(cells)
     if not finite.all():
@@ -202,9 +201,10 @@ def read_series_csv(path: str | Path) -> ProcessSeries:
     NonFiniteValue
         A value is NaN or infinite (with line number).
     """
-    table = _read_table(path, "t")
-    # rows are periods; a series stores variables x periods
-    return ProcessSeries(values=table.cells.T, variable_labels=table.names)
+    with _reading(path) as text:
+        table = _parse_table(text, "t")
+        # rows are periods; a series stores variables x periods
+        return ProcessSeries(values=table.cells.T, variable_labels=table.names)
 
 
 def write_series_csv(
@@ -224,9 +224,8 @@ def write_series_csv(
     for key, value in (metadata or {}).items():
         out.append(f"# {key}={value}")
     out.append("t," + ",".join(series.variable_labels))
-    for t in range(1, series.t_max + 1):
-        row = series.values[:, t - 1]
-        out.append(f"{t}," + ",".join(repr(float(x)) for x in row))
+    for t, row in enumerate(series.values.T.tolist(), start=1):
+        out.append(f"{t}," + ",".join(map(repr, row)))
     atomic_write_text(path, "\n".join(out) + "\n")
 
 
@@ -240,12 +239,14 @@ def read_compliance_csv(path: str | Path) -> ComplianceMatrix:
     ------
     ParseError, RaggedRow, NonBinaryEntry
     """
-    return ComplianceMatrix(entries=_read_table(path, "competency_id", cell=_binary).cells)
+    with _reading(path) as text:
+        return ComplianceMatrix(entries=_parse_table(text, "competency_id", cell=_binary).cells)
 
 
 def read_costs_csv(path: str | Path) -> tuple[float, ...]:
     """Read per-competency activation costs (header ``competency_id,cost``)."""
-    return tuple(_read_table(path, "competency_id", ("cost",)).cells[:, 0].tolist())
+    with _reading(path) as text:
+        return tuple(_parse_table(text, "competency_id", ("cost",)).cells[:, 0].tolist())
 
 
 def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
@@ -254,7 +255,8 @@ def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     Returns the first period and the two scalar columns. Periods must be
     consecutive; they need not start at 1 (reports may begin after warmup).
     """
-    table = _read_table(path, "t", ("basic", "universal_competencies"), first=None)
+    with _reading(path) as text:
+        table = _parse_table(text, "t", ("basic", "universal_competencies"), first=None)
     return table.first, table.cells[:, 0], table.cells[:, 1]
 
 
@@ -284,37 +286,38 @@ def read_scenario_json(path: str | Path) -> Scenario:
     event kind, raises ParseError; a well-typed scenario that breaks its own
     constraints raises InvalidScenario.
     """
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    doc = _object(doc, str(path), _SCENARIO_KEYS, {"t_max", "n", "seed"})
-    entries = doc.get("events", [])
-    if not isinstance(entries, list):
-        raise ParseError(f"{path}: events must be a list")
-    try:
-        events = []
-        for idx, entry in enumerate(entries):
-            entry = _object(entry, f"{path}: events[{idx}]", _EVENT_KEYS, _EVENT_KEYS)
-            events.append(
-                ScenarioEvent(
-                    period=_integer(entry, "period"),
-                    kind=entry["kind"],
-                    role=str(entry["role"]),
-                    count=_integer(entry, "count"),
+    with _reading(path) as text:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc})") from exc
+        doc = _object(doc, "the scenario", _SCENARIO_KEYS, {"t_max", "n", "seed"})
+        entries = doc.get("events", [])
+        if not isinstance(entries, list):
+            raise ParseError("events must be a list")
+        try:
+            events = []
+            for idx, entry in enumerate(entries):
+                entry = _object(entry, f"events[{idx}]", _EVENT_KEYS, _EVENT_KEYS)
+                events.append(
+                    ScenarioEvent(
+                        period=_integer(entry, "period"),
+                        kind=entry["kind"],
+                        role=str(entry["role"]),
+                        count=_integer(entry, "count"),
+                    )
                 )
+            return Scenario(
+                t_max=_integer(doc, "t_max"),
+                n=_integer(doc, "n"),
+                seed=_integer(doc, "seed"),
+                base_level=float(doc.get("base_level", 100.0)),
+                noise_scale=float(doc.get("noise_scale", 5.0)),
+                event_effect=float(doc.get("event_effect", 1.25)),
+                events=tuple(events),
             )
-        return Scenario(
-            t_max=_integer(doc, "t_max"),
-            n=_integer(doc, "n"),
-            seed=_integer(doc, "seed"),
-            base_level=float(doc.get("base_level", 100.0)),
-            noise_scale=float(doc.get("noise_scale", 5.0)),
-            event_effect=float(doc.get("event_effect", 1.25)),
-            events=tuple(events),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ParseError(str(exc)) from None
 
 
 def write_scenario_json(path: str | Path, scenario: Scenario) -> None:
@@ -353,14 +356,15 @@ def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
     """
     if path is None:
         path = importlib.resources.files("ucindex") / "data" / _FIXTURE_RESOURCE
-    table = _read_table(path, "t", ("basic", "universal_competencies", "delta"))
-    try:
-        declared = [float(table.meta[f"declared_total_{name}"])
-                    for name in ("basic", "competency", "delta")]
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"fixture lacks a numeric '# declared_total_...=' comment: {exc}") from None
-    if not np.isfinite(declared).all():
-        raise NonFiniteValue(f"fixture declares non-finite totals {declared}")
+    with _reading(path) as text:
+        table = _parse_table(text, "t", ("basic", "universal_competencies", "delta"))
+        try:
+            declared = [float(table.meta[f"declared_total_{name}"])
+                        for name in ("basic", "competency", "delta")]
+        except (KeyError, ValueError) as exc:
+            raise ParseError(f"no numeric '# declared_total_...=' comment: {exc}") from None
+        if not np.isfinite(declared).all():
+            raise NonFiniteValue(f"fixture declares non-finite totals {declared}")
     basic, competency, delta = (tuple(column) for column in table.cells.T.tolist())
     return ModeFixture(
         basic=basic,

@@ -104,6 +104,5 @@ def slice_window(series: ProcessSeries, t: int, k: int) -> np.ndarray:
         raise WindowOutOfRange(
             f"period {t} outside recorded history (t_max={series.t_max})"
         )
-    # columns t-1 .. t-k map to 0-based indices t-2 .. t-k-1
-    idx = np.arange(t - 2, t - k - 2, -1)
-    return series.values[:, idx].T.copy()
+    # periods t-k .. t-1 are 0-based columns t-k-1 .. t-2; reversed, most recent first
+    return series.values[:, t - k - 1 : t - 1][:, ::-1].T.copy()

@@ -89,15 +89,15 @@ def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TAB
     return "\n".join(lines) + "\n"
 
 
-def _rows(table: ReportTable):
-    c = table.comparison
+def _rows(c: ModeComparison):
+    """Per-period (t, basic, competency, delta) rows and the three totals, as Python floats."""
     rows = zip(c.periods, c.basic_scalars.tolist(), c.competency_scalars.tolist(),
                c.delta_per_period.tolist())
     return rows, (c.basic.total, c.competency.total, c.delta_total)
 
 
 def _render_text(table: ReportTable) -> list[str]:
-    rows, totals = _rows(table)
+    rows, totals = _rows(table.comparison)
     header = ("t", "V_basic", "V_universal", "dV")
     body = [(str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in rows]
     footer = ("Total", *map(_fmt2, totals))
@@ -113,7 +113,7 @@ def _render_text(table: ReportTable) -> list[str]:
 
 
 def _render_csv(table: ReportTable) -> list[str]:
-    rows, (tb, tc, td) = _rows(table)
+    rows, (tb, tc, td) = _rows(table.comparison)
     lines = [
         "t,basic,universal_competencies,delta,"
         "basic_full,universal_competencies_full,delta_full"
@@ -144,6 +144,6 @@ def emit_plot_data(comparison: ModeComparison, path: str | Path) -> None:
     through the scalar-CSV reader for re-reporting.
     """
     lines = ["t,basic,universal_competencies"]
-    for t, b, c in zip(comparison.periods, comparison.basic_scalars, comparison.competency_scalars):
-        lines.append(f"{t},{float(b)!r},{float(c)!r}")
+    for t, b, c, _ in _rows(comparison)[0]:
+        lines.append(f"{t},{b!r},{c!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -229,6 +229,31 @@ class TestSimulate:
         ]
         assert len(data) == 1 + 15
 
+    def check_one_error_line_and_no_output(self, capsys, out_dir, code):
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: InvalidScenario: ")
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_scenario_too_large_to_index(self, tmp_path, capsys):
+        doc = tmp_path / "scenario.json"
+        doc.write_text('{"t_max": 100000000000000000000, "n": 2, "seed": 7}', encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        code = cli_main(["simulate", "--scenario", str(doc), "--out-dir", str(out_dir)])
+        self.check_one_error_line_and_no_output(capsys, out_dir, code)
+
+    def test_scenario_too_large_to_allocate(self, tmp_path, capsys, monkeypatch):
+        # a real allocation this size could exhaust the machine: fake the failure instead
+        def generate_series(scenario):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(ucindex.cli, "generate_series", generate_series)
+        out_dir = tmp_path / "sim"
+        code = cli_main(["simulate", "--out-dir", str(out_dir)])
+        self.check_one_error_line_and_no_output(capsys, out_dir, code)
+
 
 class TestReport:
     def test_re_report_from_plot_data(self, small_series, tmp_path, capsys):
@@ -326,10 +351,20 @@ SPIKED_SERIES = "t,a,b,c\n" + "".join(
         ("indicator --window 3", SPIKED_SERIES.encode(), "NonFiniteValue: series, period 7:"),
         ("indicator --window 3 --standardize", SPIKED_SERIES.encode(),
          "NonFiniteValue: series, period 7:"),
+        ("indicator", b"t,a\n1,1.0\n2,x\n",
+         "/input.csv: line 3: could not convert string to float: 'x'"),
+        ("indicator", b"t,a,a\n1,1.0,2.0\n",
+         "/input.csv: variable labels must be unique"),
+        ("fixture-verify --fixture", b"t,basic,universal_competencies,delta\n1,1,1,0\n",
+         "/input.csv: no numeric '# declared_total_...=' comment"),
+        ("report", SCALAR_HEADER.encode() + b"6,-1,2\n",
+         "NegativeIndicator: basic, period 6: indicator values must be >= 0"),
     ],
     ids=["non-utf8", "digit-grouping", "nan", "inf", "overflow", "minus-inf",
          "extra-scalar-column", "wrong-scalar-name", "swapped-scalar-columns",
-         "total-overflow", "kernel-overflow", "kernel-overflow-standardized"],
+         "total-overflow", "kernel-overflow", "kernel-overflow-standardized",
+         "bad-token-names-file", "duplicate-label-names-file", "fixture-total-names-file",
+         "negative-names-period"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.csv"
@@ -339,7 +374,17 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, m
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+    assert lines[0].count(str(path)) <= 1
     assert captured.out == ""
+
+
+def test_error_names_the_file_it_was_read_from(tmp_path, capsys):
+    good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
+    good.write_text("t,x\n1,1\n2,2\n3,3\n", encoding="utf-8")
+    bad.write_text("t,x\n1,1\n2,x\n", encoding="utf-8")
+    assert cli_main(["compare", "--basic", str(good), "--universal", str(bad)]) == 1
+    expected = f"error: ParseError: {bad}: line 3: could not convert string to float: 'x'\n"
+    assert capsys.readouterr().err == expected
 
 
 def test_python_dash_m_runs_the_cli():

@@ -6,6 +6,7 @@ from math import fsum
 import numpy as np
 import pytest
 
+import ucindex.indicator as indicator
 from ucindex import (
     BadWindow,
     ConfigMismatch,
@@ -97,6 +98,10 @@ class TestGramMatrix:
             g = gram_matrix(window, 6)
             assert np.array_equal(g, g.T)
 
+    def test_overflow_is_non_finite_value(self):
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            gram_matrix(np.array([[1e200, 1.0], [1.0, 1.0]]), 2)
+
 
 class TestBruteForceOracle:
     def test_same_hand_computed_value(self):
@@ -128,6 +133,10 @@ class TestRowIndicator:
         entries = np.array([[1.25, -0.5], [-0.5, 2.0]])
         assert row_indicator(entries).tolist() == [1.75, 2.5]
 
+    def test_overflow_is_non_finite_value(self):
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            row_indicator(np.full((2, 2), 1e308))
+
 
 class TestStandardizeWindow:
     def test_columns_become_zero_mean_unit_variance(self):
@@ -148,6 +157,10 @@ class TestStandardizeWindow:
         g = gram_matrix(standardize_window(window), 7)
         assert np.abs(g).max() <= 1 + 1e-9
         np.testing.assert_allclose(np.diag(g), 1.0, rtol=1e-12)
+
+    def test_overflow_is_non_finite_value(self):
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            standardize_window(np.array([[1e308], [1e308], [-1e308]]))
 
 
 class TestIndicatorSeries:
@@ -221,6 +234,40 @@ class TestIndicatorSeries:
             config = WindowConfig(k=3, standardize=standardize)
             with pytest.raises(NonFiniteValue, match="spiked, period 7: overflow"):
                 indicator_series(labelled(values), config, "spiked")
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [(-0.5, NegativeIndicator), (np.nan, NonFiniteValue), (np.inf, NonFiniteValue)],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_bad_value_names_label_and_first_bad_period(self, value, error):
+        values = [[1.0, 2.0], [3.0, 4.0], [5.0, value], [value, 6.0]]
+        with pytest.raises(error, match="^basic, period 5: indicator values"):
+            IndicatorSeries(3, values, None, "basic")
+
+    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("warmup", list(Warmup))
+    def test_each_kernel_function_runs_once_per_defined_period(
+        self, monkeypatch, standardize, warmup
+    ):
+        # indicator_series must reach the kernel through the module's globals, with
+        # positional arguments, so that a patched or traced function sees every period
+        kernel = ("slice_window", "standardize_window", "gram_matrix", "row_indicator")
+        calls = dict.fromkeys(kernel, 0)
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(indicator, name, counting(name, getattr(indicator, name)))
+        config = WindowConfig(k=4, standardize=standardize, warmup=warmup)
+        result = indicator_series(labelled(np.random.default_rng(4).normal(size=(3, 12))), config)
+        periods = len(result.periods)
+        assert calls == {"slice_window": periods, "standardize_window": periods * standardize,
+                         "gram_matrix": periods, "row_indicator": periods}
 
     def test_overflowing_total_is_non_finite_value(self):
         with pytest.raises(NonFiniteValue, match="big: the indicator total overflows"):

@@ -13,6 +13,7 @@ from ucindex import (
     ParseError,
     ProcessSeries,
     RaggedRow,
+    UcindexError,
     load_mode_fixture,
     read_series_csv,
 )
@@ -132,6 +133,15 @@ class TestAtomicWrite:
         atomic = tmp_path / "atomic.txt"
         atomic_write_text(atomic, "x")
         assert os.stat(atomic).st_mode == os.stat(plain).st_mode
+
+    def test_leaves_the_process_umask_alone(self, tmp_path, monkeypatch):
+        # the umask is process-wide: setting it, even briefly, races other threads
+        def umask(mask):
+            raise AssertionError("atomic_write_text called os.umask")
+
+        monkeypatch.setattr(os, "umask", umask)
+        atomic_write_text(tmp_path / "out.txt", "x")
+        assert (tmp_path / "out.txt").read_text(encoding="utf-8") == "x"
 
 
 class TestComplianceCsv:
@@ -263,3 +273,30 @@ class TestModeFixture:
         fixture = load_mode_fixture()
         for b, c, d in zip(fixture.basic, fixture.competency, fixture.delta_printed):
             assert abs((c - b) - d) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "read, content, line",
+    [
+        (read_series_csv, b"t,a\n1,1\n3,2\n", 3),
+        (read_series_csv, b"t,a\n1,\xff\n", None),
+        (read_series_csv, b"t,a,a\n1,1,2\n", None),
+        (read_compliance_csv, b"competency_id,p1\n1,2\n", 2),
+        (read_costs_csv, b"competency_id,cost\n", None),
+        (read_scalar_csv, b"t,basic\n1,1\n", 1),
+        (load_mode_fixture, b"t,basic,universal_competencies,delta\n1,1,1,0\n", None),
+        (read_scenario_json, b'{"t_max": 2, "n": 1, "seed": 0}', None),
+        (read_scenario_json, b'{"t_max": 5, "n": 1, "seed": 0, "events": [{}]}', None),
+    ],
+    ids=["series-gap", "series-not-utf8", "series-duplicate-label", "compliance-entry",
+         "costs-no-rows", "scalar-header", "fixture-no-totals", "scenario-constraint",
+         "scenario-event-keys"],
+)
+def test_reader_errors_name_the_file_once(tmp_path, read, content, line):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    with pytest.raises(UcindexError) as info:
+        read(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+    assert getattr(info.value, "line", None) == line
