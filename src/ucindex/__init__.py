@@ -16,7 +16,6 @@ from .competencies import (
     DerivationRule,
     ResourceBudget,
     check_budget,
-    default_catalog,
     derive_mode_series,
 )
 from .errors import (
@@ -45,7 +44,7 @@ from .indicator import (
     ingest_precomputed,
     scalar_per_period,
 )
-from .io_formats import load_mode_fixture, read_series_csv
+from .io_formats import default_catalog, load_mode_fixture, read_series_csv
 from .process_model import ProcessSeries
 from .report import emit_report
 from .scenario import generate_series, reference_scenario

@@ -10,8 +10,9 @@ Subcommands:
 * ``check-budget``   -- gate a compliance mapping against a resource limit
 * ``fixture-verify`` -- ingest the shipped reference fixture and check totals
 
-Exit codes: 0 success, 1 domain error (the violated invariant is named on
-stderr), 2 usage error. Data goes to stdout or to files; diagnostics go to
+Exit codes: 0 success, 1 domain or OS error (one ``error: <class>: ...``
+line on stderr names the violated invariant or the OSError type), 2 usage
+error. Data goes to stdout or to files; diagnostics go to
 stderr.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from ._version import __version__
 from .competencies import DerivationRule, ResourceBudget, check_budget, derive_mode_series
-from .errors import InvalidScenario, UcindexError
+from .errors import BudgetExceeded, FixtureMismatch, InvalidScenario, UcindexError
 from .indicator import (
     Warmup,
     WindowConfig,
@@ -36,6 +37,7 @@ from .indicator import (
 from .io_formats import (
     atomic_write_text,
     load_mode_fixture,
+    metadata_lines,
     read_compliance_csv,
     read_costs_csv,
     read_scalar_csv,
@@ -77,10 +79,8 @@ def cmd_indicator(args: argparse.Namespace) -> int:
     lines = ["t," + ",".join(series.variable_labels) + ",scalar"]
     for t, values, scalar in zip(result.periods, result.values.tolist(), scalars.tolist()):
         lines.append(f"{t},{','.join(map(repr, values))},{scalar!r}")
-    lines.append(f"# tool=ucindex {__version__}")
-    lines.append(f"# mode={result.mode_label}")
-    lines.extend(f"# {key}={value}" for key, value in window_metadata(result.config))
-    lines.append(f"# total={result.total!r}")
+    lines += metadata_lines([("mode", result.mode_label), *window_metadata(result.config),
+                             ("total", repr(result.total))])
     _write_or_print("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -99,9 +99,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
     text = emit_report(comparison, args.format, derivation=derivation, stamp=args.stamp)
-    _write_or_print(text, args.out)
-    if args.plot_data:
+    if args.plot_data:  # first, so a plot file that cannot be written leaves no report
         emit_plot_data(comparison, args.plot_data)
+    _write_or_print(text, args.out)
     return 0
 
 
@@ -115,16 +115,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidScenario(f"{scenario.n} x {scenario.t_max} values do not fit: {exc}") from None
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metadata = {
-        "tool": f"ucindex {__version__}",
-        "seed": str(scenario.seed),
-        "noise": NOISE_ALGORITHM,
-    }
+    metadata = [("seed", str(scenario.seed)), ("noise", NOISE_ALGORITHM)]
     write_scenario_json(out_dir / "scenario.json", scenario)
     write_series_csv(out_dir / "basic.csv", basic,
-                     metadata={**metadata, "mode": BASIC_LABEL})
+                     metadata_lines([*metadata, ("mode", BASIC_LABEL)]))
     write_series_csv(out_dir / "universal.csv", competency,
-                     metadata={**metadata, "mode": COMPETENCY_LABEL})
+                     metadata_lines([*metadata, ("mode", COMPETENCY_LABEL)]))
     for name in ("scenario.json", "basic.csv", "universal.csv"):
         print(out_dir / name)
     return 0
@@ -151,11 +147,7 @@ def cmd_check_budget(args: argparse.Namespace) -> int:
     verdict = "ACCEPT" if result.accepted else "REJECT"
     print(f"{verdict} cost={result.cost} limit={result.limit}")
     if not result.accepted:
-        print(
-            f"error: budget exceeded: cost {result.cost} > limit {result.limit}",
-            file=sys.stderr,
-        )
-        return 1
+        raise BudgetExceeded(f"budget exceeded: cost {result.cost} > limit {result.limit}")
     return 0
 
 
@@ -175,8 +167,7 @@ def cmd_fixture_verify(args: argparse.Namespace) -> int:
         if abs(computed - declared) > FIXTURE_TOLERANCE:
             failed.append(f"{name} {computed:.4f} differs from declared {declared:.2f}")
     if failed:
-        print(f"error: {'; '.join(failed)} (by more than {FIXTURE_TOLERANCE})", file=sys.stderr)
-        return 1
+        raise FixtureMismatch(f"{'; '.join(failed)} (by more than {FIXTURE_TOLERANCE})")
     return 0
 
 
@@ -252,11 +243,9 @@ def cli_main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 0
     try:
         return args.func(args)
-    except UcindexError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UcindexError, OSError) as exc:  # the only place that writes an error line
+        message = "\\n".join(str(exc).splitlines())  # a key or path may hold a line break
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,8 @@
 """Universal-competencies catalog, compliance mapping, and resource budget.
 
 A competency catalog lists m competency descriptions (the shipped default
-carries the 32-item Council of Europe cross-disciplinary set). A compliance
+carries the 32-item Council of Europe cross-disciplinary set); it is a file
+format, parsed in ``io_formats`` like every other input. A compliance
 matrix marks with 0/1 which competency applies to which enterprise process.
 Activating competency mappings costs money; the budget gate checks that cost
 against an available limit. Finally, the mapping can be projected onto a
@@ -12,24 +13,14 @@ All types are immutable values and all operations are pure.
 
 from __future__ import annotations
 
-import importlib.resources
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateId,
-    GapInIds,
-    NonBinaryEntry,
-    NonFiniteValue,
-    ParseError,
-)
+from .errors import DimensionMismatch, NonBinaryEntry, NonFiniteValue
 from .process_model import ProcessSeries
-
-_DEFAULT_CATALOG_RESOURCE = "universal_competencies_32.tsv"
 
 
 @dataclass(frozen=True)
@@ -100,53 +91,6 @@ class DerivationRule(str, Enum):
 
     MASK = "mask"
     WEIGHT = "weight"
-
-
-def parse_catalog(text: str) -> tuple[str, ...]:
-    """Parse a competency catalog; entry i-1 of the result describes competency i.
-
-    Format: one ``id<TAB>description`` entry per line, ids contiguous from 1
-    in any order, descriptions nonempty. Blank lines and lines starting with
-    ``#`` are skipped.
-
-    Raises
-    ------
-    ParseError
-        Malformed line (wrong field count, non-integer id, empty description).
-    DuplicateId, GapInIds
-        Ids are not exactly 1..m.
-    """
-    entries: dict[int, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise ParseError(
-                f"expected 'id<TAB>description', got {len(parts)} field(s)", line=lineno
-            )
-        id_token, description = parts
-        try:
-            cid = int(id_token)
-        except ValueError:
-            raise ParseError(f"competency id {id_token!r} is not an integer", line=lineno)
-        if not description.strip():
-            raise ParseError("empty description", line=lineno)
-        if cid in entries:
-            raise DuplicateId(f"competency id {cid} occurs more than once", line=lineno)
-        entries[cid] = description.strip()
-    if not entries:
-        raise ParseError("catalog document contains no entries")
-    ids = sorted(entries)
-    if ids != list(range(1, len(ids) + 1)):
-        raise GapInIds(f"ids must be exactly 1..{len(ids)}, got {ids}")
-    return tuple(entries[i] for i in ids)
-
-
-def default_catalog() -> tuple[str, ...]:
-    """The shipped 32-entry universal-competencies catalog, as descriptions in id order."""
-    ref = importlib.resources.files("ucindex") / "data" / _DEFAULT_CATALOG_RESOURCE
-    return parse_catalog(ref.read_text(encoding="utf-8"))
 
 
 def check_budget(matrix: ComplianceMatrix, budget: ResourceBudget) -> BudgetCheck:

@@ -3,7 +3,7 @@
 Every domain failure raises a subclass of :class:`UcindexError`, so callers
 (including the CLI, which maps them to exit code 1) can catch one base type.
 Usage errors at the command line are handled by argparse and are not part of
-this hierarchy; OS-level write failures propagate as ``OSError``.
+this hierarchy; OS-level read and write failures propagate as ``OSError``.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ class ConfigMismatch(UcindexError):
 
 class NegativeIndicator(UcindexError):
     """An ingested indicator value is negative (indicators are sums of absolute values)."""
+
+
+class BudgetExceeded(UcindexError):
+    """A compliance mapping costs more than the resource limit allows."""
+
+
+class FixtureMismatch(UcindexError):
+    """A fixture's computed totals differ from the totals it declares."""
 
 
 class InvalidScenario(UcindexError):

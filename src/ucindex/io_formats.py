@@ -1,4 +1,4 @@
-"""Flat-file formats: series CSV, compliance CSV, costs CSV, scalar CSV, scenario JSON, fixture.
+"""Flat-file formats: series, compliance, costs and scalar CSV, catalog, scenario JSON, fixture.
 
 All files are UTF-8 with LF line endings and a ``.`` decimal separator
 regardless of locale. Lines starting with ``#`` are metadata comments and
@@ -7,9 +7,11 @@ are skipped by every reader. Numeric series values are written with
 Writers go through a write-temp-then-rename step so a crash never leaves a
 half-written file behind.
 
-One table reader parses every CSV format, with line-numbered errors.
-Values must be finite plain decimals: ``nan``, ``inf``, overflowing
-exponents and ``_`` digit grouping are rejected.
+Every reader decodes its file in ``_reading`` (errors name the file); the
+line formats share ``_data_lines``, and one table parser serves every CSV,
+with line-numbered errors. Values must be finite plain decimals (no ``nan``,
+``inf``, overflow or ``_`` digit grouping), in data cells and the fixture's
+declared totals alike. ``metadata_lines`` writes every ``# key=value`` block.
 
 Formats:
 
@@ -18,7 +20,7 @@ Formats:
 * ``compliance.csv`` -- header ``competency_id,<p1>,...,<pn>``; one row per
   competency (ids consecutive from 1) of literal ``0``/``1`` tokens.
 * ``costs.csv`` -- header ``competency_id,cost``; one row per competency.
-* ``catalog.tsv`` -- ``id<TAB>description`` (see competencies module).
+* ``catalog.tsv`` -- ``id<TAB>description``, ids 1..m in any order.
 * ``scenario.json`` -- flat keys t_max, n, seed, base_level, noise_scale,
   event_effect plus an ``events`` list of {period, kind, role, count}.
 * scalar CSV -- header exactly ``t,basic,universal_competencies``;
@@ -38,8 +40,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from ._version import __version__
 from .competencies import ComplianceMatrix
 from .errors import (
+    DuplicateId,
+    GapInIds,
     NonBinaryEntry,
     NonFiniteValue,
     NonMonotonicTime,
@@ -51,9 +56,8 @@ from .process_model import ProcessSeries
 from .scenario import Scenario, ScenarioEvent
 
 _FIXTURE_RESOURCE = "mode_comparison_57.csv"
-
-_SCENARIO_KEYS = {f.name for f in dataclasses.fields(Scenario)}
-_EVENT_KEYS = {f.name for f in dataclasses.fields(ScenarioEvent)}
+_CATALOG_RESOURCE = "universal_competencies_32.tsv"
+_PLAIN_NUMBERS = "only plain ASCII numbers are allowed, without '_'"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -105,6 +109,23 @@ def _data_lines(text: str, meta: dict[str, str] | None = None) -> Iterator[tuple
                     meta[key.strip()] = value.strip()
         elif line:
             yield lineno, raw
+
+
+def _one_line(value: str) -> bool:  # no break that str.splitlines splits at
+    return "".join(value.splitlines()) == value
+
+
+def metadata_lines(entries: Iterable[tuple[str, str]]) -> list[str]:
+    """The ``# key=value`` lines of an output: ``tool=ucindex <version>``, then ``entries``.
+
+    Raises ParseError for a value holding a line break, which would end the block early.
+    """
+    lines = []
+    for key, value in (("tool", f"ucindex {__version__}"), *entries):
+        if not _one_line(value):
+            raise ParseError(f"metadata {key}={value!r} contains a line break")
+        lines.append(f"# {key}={value}")
+    return lines
 
 
 def _floats(tokens: list[str], lineno: int) -> list[float]:
@@ -160,7 +181,7 @@ def _parse_table(
         if len(parts) != width:
             raise RaggedRow(f"expected {width} fields, got {len(parts)}", line=lineno)
         if "_" in raw or not raw.isascii():
-            raise ParseError("only plain ASCII numbers are allowed, without '_'", line=lineno)
+            raise ParseError(_PLAIN_NUMBERS, line=lineno)
         try:
             k = int(parts[0])
         except ValueError:
@@ -207,23 +228,16 @@ def read_series_csv(path: str | Path) -> ProcessSeries:
         return ProcessSeries(values=table.cells.T, variable_labels=table.names)
 
 
-def write_series_csv(
-    path: str | Path,
-    series: ProcessSeries,
-    metadata: dict[str, str] | None = None,
-) -> None:
+def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable[str] = ()) -> None:
     """Write a process series at full (round-trip exact) precision.
 
-    ``metadata`` entries become leading ``# key=value`` comment lines in the
-    given order.
+    ``comments`` (lines from :func:`metadata_lines`) lead the file. A label
+    holding ``,``, ``#`` or a line break raises ParseError.
     """
     for label in series.variable_labels:
-        if "," in label or "\n" in label or "#" in label:
+        if "," in label or "#" in label or not _one_line(label):
             raise ParseError(f"variable label {label!r} contains a reserved character")
-    out: list[str] = []
-    for key, value in (metadata or {}).items():
-        out.append(f"# {key}={value}")
-    out.append("t," + ",".join(series.variable_labels))
+    out = [*comments, "t," + ",".join(series.variable_labels)]
     for t, row in enumerate(series.values.T.tolist(), start=1):
         out.append(f"{t}," + ",".join(map(repr, row)))
     atomic_write_text(path, "\n".join(out) + "\n")
@@ -249,6 +263,51 @@ def read_costs_csv(path: str | Path) -> tuple[float, ...]:
         return tuple(_parse_table(text, "competency_id", ("cost",)).cells[:, 0].tolist())
 
 
+def parse_catalog(text: str) -> tuple[str, ...]:
+    """Parse a competency catalog; entry i-1 of the result describes competency i.
+
+    Format: one ``id<TAB>description`` entry per line, ids contiguous from 1
+    in any order, descriptions nonempty. Blank lines and lines starting with
+    ``#`` are skipped.
+
+    Raises
+    ------
+    ParseError
+        Malformed line (wrong field count, non-integer id, empty description).
+    DuplicateId, GapInIds
+        Ids are not exactly 1..m.
+    """
+    entries: dict[int, str] = {}
+    for lineno, raw in _data_lines(text):
+        parts = raw.split("\t")
+        if len(parts) != 2:
+            raise ParseError(
+                f"expected 'id<TAB>description', got {len(parts)} field(s)", line=lineno
+            )
+        id_token, description = parts
+        try:
+            cid = int(id_token)
+        except ValueError:
+            raise ParseError(f"competency id {id_token!r} is not an integer", line=lineno)
+        if not description.strip():
+            raise ParseError("empty description", line=lineno)
+        if cid in entries:
+            raise DuplicateId(f"competency id {cid} occurs more than once", line=lineno)
+        entries[cid] = description.strip()
+    if not entries:
+        raise ParseError("catalog document contains no entries")
+    ids = sorted(entries)
+    if ids != list(range(1, len(ids) + 1)):
+        raise GapInIds(f"ids must be exactly 1..{len(ids)}, got {ids}")
+    return tuple(entries[i] for i in ids)
+
+
+def default_catalog() -> tuple[str, ...]:
+    """The shipped 32-entry universal-competencies catalog, as descriptions in id order."""
+    with _reading(importlib.resources.files("ucindex") / "data" / _CATALOG_RESOURCE) as text:
+        return parse_catalog(text)
+
+
 def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     """Read per-period scalar pairs (header exactly ``t,basic,universal_competencies``).
 
@@ -260,62 +319,24 @@ def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     return table.first, table.cells[:, 0], table.cells[:, 1]
 
 
-def _object(value, where: str, keys: set[str], required: set[str]) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{where} must be an object")
-    unknown = set(value) - keys
-    if unknown:
-        raise ParseError(f"{where} has unknown keys {sorted(unknown)}")
-    missing = required - set(value)
-    if missing:
-        raise ParseError(f"{where} is missing keys {sorted(missing)}")
-    return value
-
-
-def _integer(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
 def read_scenario_json(path: str | Path) -> Scenario:
-    """Read a scenario document; unknown keys are rejected to catch typos.
+    """Read a scenario document: a JSON object of Scenario fields with a list of ``events``.
 
-    A value of the wrong type, such as a non-integer count or an unknown
-    event kind, raises ParseError; a well-typed scenario that breaks its own
-    constraints raises InvalidScenario.
+    The constructors check keys and types: an unknown or missing key or a
+    wrongly typed value raises ParseError; a well-typed scenario that breaks
+    its own constraints raises InvalidScenario.
     """
     with _reading(path) as text:
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc})") from exc
-        doc = _object(doc, "the scenario", _SCENARIO_KEYS, {"t_max", "n", "seed"})
-        entries = doc.get("events", [])
-        if not isinstance(entries, list):
-            raise ParseError("events must be a list")
-        try:
-            events = []
-            for idx, entry in enumerate(entries):
-                entry = _object(entry, f"events[{idx}]", _EVENT_KEYS, _EVENT_KEYS)
-                events.append(
-                    ScenarioEvent(
-                        period=_integer(entry, "period"),
-                        kind=entry["kind"],
-                        role=str(entry["role"]),
-                        count=_integer(entry, "count"),
-                    )
-                )
-            return Scenario(
-                t_max=_integer(doc, "t_max"),
-                n=_integer(doc, "n"),
-                seed=_integer(doc, "seed"),
-                base_level=float(doc.get("base_level", 100.0)),
-                noise_scale=float(doc.get("noise_scale", 5.0)),
-                event_effect=float(doc.get("event_effect", 1.25)),
-                events=tuple(events),
-            )
+            if not isinstance(doc, dict):
+                raise ParseError(f"the scenario must be a JSON object, got {type(doc).__name__}")
+            events = doc.pop("events", [])
+            if not isinstance(events, list):
+                raise ParseError(f"events must be a list, got {type(events).__name__}")
+            return Scenario(**doc, events=tuple(ScenarioEvent(**event) for event in events))
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise ParseError(f"invalid JSON ({exc})") from None
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc)) from None
 
@@ -359,8 +380,10 @@ def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
     with _reading(path) as text:
         table = _parse_table(text, "t", ("basic", "universal_competencies", "delta"))
         try:
-            declared = [float(table.meta[f"declared_total_{name}"])
-                        for name in ("basic", "competency", "delta")]
+            tokens = [table.meta[f"declared_total_{n}"] for n in ("basic", "competency", "delta")]
+            if any("_" in token or not token.isascii() for token in tokens):
+                raise ValueError(_PLAIN_NUMBERS)
+            declared = list(map(float, tokens))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"no numeric '# declared_total_...=' comment: {exc}") from None
         if not np.isfinite(declared).all():

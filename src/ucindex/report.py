@@ -14,9 +14,8 @@ from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
 
-from ._version import __version__
 from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
-from .io_formats import atomic_write_text
+from .io_formats import atomic_write_text, metadata_lines
 
 
 class ReportFormat(str, Enum):
@@ -33,7 +32,7 @@ class ReportTable:
     """
 
     comparison: ModeComparison
-    metadata: tuple[tuple[str, str], ...]
+    metadata: tuple[str, ...]  # the ``# key=value`` lines
 
 
 def window_metadata(config: WindowConfig | None) -> list[tuple[str, str]]:
@@ -62,7 +61,6 @@ def build_report_table(
     excluded = "none" if first_defined <= 1 else f"1..{first_defined - 1}"
 
     metadata = [
-        ("tool", f"ucindex {__version__}"),
         ("mode_basic", comparison.basic.mode_label),
         ("mode_competency", comparison.competency.mode_label),
         *window_metadata(comparison.basic.config),
@@ -73,7 +71,7 @@ def build_report_table(
     if stamp:
         now = datetime.now(timezone.utc).replace(microsecond=0)
         metadata.append(("generated", now.isoformat()))
-    return ReportTable(comparison, tuple(metadata))
+    return ReportTable(comparison, tuple(metadata_lines(metadata)))
 
 
 def _fmt2(x: float) -> str:
@@ -85,7 +83,7 @@ def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TAB
     """Render a report table to text; see module docstring for the two formats."""
     fmt = ReportFormat(fmt)
     lines = _render_csv(table) if fmt is ReportFormat.CSV else _render_text(table)
-    lines.extend(f"# {key}={value}" for key, value in table.metadata)
+    lines.extend(table.metadata)
     return "\n".join(lines) + "\n"
 
 

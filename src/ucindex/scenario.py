@@ -20,6 +20,7 @@ of its role's block.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,6 +32,23 @@ from .process_model import ProcessSeries
 NOISE_ALGORITHM = "numpy-pcg64"
 
 REFERENCE_SEED = 20057
+
+
+def _store_typed(value: object, kind: type, *names: str) -> None:
+    """Store each named field of ``value`` as ``kind`` (int or float), or raise TypeError naming it.
+
+    Bools never pass; a float field also takes an integer, if it fits a float.
+    """
+    accepted = numbers.Integral if kind is int else numbers.Real
+    for name in names:
+        field_value = getattr(value, name)
+        if isinstance(field_value, bool) or not isinstance(field_value, accepted):
+            called = "an integer" if kind is int else "a real number"
+            raise TypeError(f"{name} must be {called}, got {field_value!r:.40}")
+        try:
+            object.__setattr__(value, name, kind(field_value))
+        except OverflowError:
+            raise TypeError(f"{name} is too large for a float") from None
 
 
 class EventKind(str, Enum):
@@ -49,6 +67,9 @@ class ScenarioEvent:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", EventKind(self.kind))
+        _store_typed(self, int, "period", "count")
+        if not isinstance(self.role, str):
+            raise TypeError(f"role must be a string, got {self.role!r:.40}")
         if self.period < 1:
             raise InvalidScenario(f"event period must be >= 1, got {self.period}")
         if self.count < 1:
@@ -75,6 +96,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
+        _store_typed(self, int, "t_max", "n", "seed")
+        _store_typed(self, float, "base_level", "noise_scale", "event_effect")
         if self.t_max < 3:
             raise InvalidScenario(f"t_max must be >= 3, got {self.t_max}")
         if self.n < 1:

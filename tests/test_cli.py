@@ -50,7 +50,7 @@ class TestFixtureVerify:
         assert cli_main(["fixture-verify", "--fixture", str(bad)]) == 1
         captured = capsys.readouterr()
         errors = captured.err.splitlines()
-        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert len(errors) == 1 and errors[0].startswith("error: FixtureMismatch: ")
         # basic (1 vs 100) and delta (1 vs -98) are off; competency (2 vs 2) is not
         assert "basic_total 1.0000 differs from declared 100.00" in errors[0]
         assert "delta_total 1.0000 differs from declared -98.00" in errors[0]
@@ -156,7 +156,7 @@ class TestCompare:
         ])
         assert code == 1
         errors = capsys.readouterr().err.splitlines()
-        assert len(errors) == 1 and errors[0].startswith("error: ")
+        assert len(errors) == 1 and errors[0].startswith("error: FileNotFoundError: ")
         assert errors[0].endswith(f"'{out}'")
         assert ".tmp" not in errors[0]
 
@@ -173,6 +173,20 @@ class TestCompare:
         total = next(line for line in capsys.readouterr().out.splitlines()
                      if line.startswith("total,"))
         assert total.split(",")[-1] == "10396227.5"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_unwritable_plot_data_leaves_no_report(self, small_series, tmp_path, capsys, to_file):
+        report, plot = tmp_path / "r.csv", tmp_path / "nodir" / "p.csv"
+        code = cli_main([
+            "compare", "--basic", str(small_series), "--universal", str(small_series),
+            "--window", "4", "--plot-data", str(plot), *(["--out", str(report)] if to_file else []),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: FileNotFoundError: [Errno 2] ")
+        assert captured.err.endswith(f"'{plot}'\n") and captured.err.count("\n") == 1
+        assert not report.exists()
 
     def test_plot_data_written(self, small_series, tmp_path):
         plot = tmp_path / "plot.csv"
@@ -236,6 +250,16 @@ class TestSimulate:
         assert len(lines) == 1 and lines[0].startswith("error: InvalidScenario: ")
         assert captured.out == ""
         assert not out_dir.exists()
+
+    def test_line_break_in_an_unknown_key_stays_on_the_error_line(self, tmp_path, capsys):
+        doc = tmp_path / "scenario.json"
+        doc.write_text('{"t_max": 5, "n": 2, "seed": 7, "a\\nb": 1}', encoding="utf-8")
+        out_dir = tmp_path / "sim"
+        code = cli_main(["simulate", "--scenario", str(doc), "--out-dir", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith("got an unexpected keyword argument 'a\\nb'\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_scenario_too_large_to_index(self, tmp_path, capsys):
         doc = tmp_path / "scenario.json"
@@ -315,8 +339,8 @@ class TestCheckBudget:
         ])
         assert code == 1
         captured = capsys.readouterr()
-        assert "REJECT" in captured.out
-        assert "budget exceeded" in captured.err
+        assert captured.out == "REJECT cost=10.0 limit=9.99\n"
+        assert captured.err == "error: BudgetExceeded: budget exceeded: cost 10.0 > limit 9.99\n"
 
     def test_exact_limit_accepted(self, tmp_path):
         compliance = self.write_compliance(tmp_path, ["1,0", "0,1"])
@@ -359,21 +383,27 @@ SPIKED_SERIES = "t,a,b,c\n" + "".join(
          "/input.csv: no numeric '# declared_total_...=' comment"),
         ("report", SCALAR_HEADER.encode() + b"6,-1,2\n",
          "NegativeIndicator: basic, period 6: indicator values must be >= 0"),
+        ("fixture-verify --fixture",
+         b"# declared_total_basic=5_069.93\n# declared_total_competency=1\n"
+         b"# declared_total_delta=0\nt,basic,universal_competencies,delta\n1,1,1,0\n",
+         "ParseError: {input}: no numeric '# declared_total_...=' comment: only plain ASCII"),
+        ("indicator --window 2 --label x\n1,2,3", b"t,a\n1,1\n2,2\n3,3\n",
+         "ParseError: metadata mode='x\\n1,2,3' contains a line break"),
     ],
     ids=["non-utf8", "digit-grouping", "nan", "inf", "overflow", "minus-inf",
          "extra-scalar-column", "wrong-scalar-name", "swapped-scalar-columns",
          "total-overflow", "kernel-overflow", "kernel-overflow-standardized",
          "bad-token-names-file", "duplicate-label-names-file", "fixture-total-names-file",
-         "negative-names-period"],
+         "negative-names-period", "fixture-total-digit-grouping", "label-line-break"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.csv"
     path.write_bytes(content)
-    assert cli_main([*command.split(), str(path)]) == 1
+    assert cli_main([*command.split(" "), str(path)]) == 1  # a label may hold a line break
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert message in lines[0]
+    assert message.format(input=path) in lines[0]
     assert lines[0].count(str(path)) <= 1
     assert captured.out == ""
 

@@ -18,7 +18,7 @@ from ucindex import (
     default_catalog,
     derive_mode_series,
 )
-from ucindex.competencies import parse_catalog
+from ucindex.io_formats import parse_catalog
 
 
 class TestCatalog:

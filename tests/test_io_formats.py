@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucindex import (
+    __version__,
     NonBinaryEntry,
     NonFiniteValue,
     NonMonotonicTime,
@@ -19,6 +20,7 @@ from ucindex import (
 )
 from ucindex.io_formats import (
     atomic_write_text,
+    metadata_lines,
     read_compliance_csv,
     read_costs_csv,
     read_scalar_csv,
@@ -99,7 +101,7 @@ class TestSeriesCsv:
             values=values, variable_labels=tuple(f"v{i}" for i in range(n))
         )
         path = tmp_path_factory.mktemp("roundtrip") / "s.csv"
-        write_series_csv(path, series, metadata={"seed": "0"})
+        write_series_csv(path, series, metadata_lines([("seed", "0")]))
         back = read_series_csv(path)
         assert np.array_equal(back.values, series.values)
         assert back.variable_labels == series.variable_labels
@@ -109,6 +111,14 @@ class TestSeriesCsv:
         with pytest.raises(ParseError):
             write_series_csv(tmp_path / "s.csv", series)
 
+    @pytest.mark.parametrize("label", ["a\nb", "a#b", "a\rb", "a\x85b", "a\u2028b", "a\x0cb"])
+    def test_write_rejects_labels_that_break_the_file(self, tmp_path, label):
+        # each of these would split the header line, or end it as a comment, when read back
+        series = ProcessSeries(values=np.ones((1, 1)), variable_labels=(label,))
+        with pytest.raises(ParseError, match="reserved character"):
+            write_series_csv(tmp_path / "s.csv", series)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_lf_line_endings(self, tmp_path):
         series = ProcessSeries(values=np.ones((1, 2)), variable_labels=("a",))
         path = tmp_path / "s.csv"
@@ -116,6 +126,18 @@ class TestSeriesCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+class TestMetadataLines:
+    def test_tool_first_then_entries_in_order(self):
+        assert metadata_lines([("seed", "0"), ("mode", "basic")]) == [
+            f"# tool=ucindex {__version__}", "# seed=0", "# mode=basic",
+        ]
+
+    @pytest.mark.parametrize("value", ["x\n1,2,3", "x\r", "x\x85y", "x\u2028y"])
+    def test_rejects_a_value_with_a_line_break(self, value):
+        with pytest.raises(ParseError, match="mode=.* contains a line break"):
+            metadata_lines([("mode", value)])
 
 
 class TestAtomicWrite:
@@ -238,21 +260,44 @@ class TestScenarioJson:
         with pytest.raises(ParseError):
             read_scenario_json(path)
 
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            '"events": null',
-            '"events": [{"period": 2, "kind": "promote", "role": "ops", "count": 1}]',
-            '"events": [{"period": 2, "kind": "hire", "role": "ops", "count": "two"}]',
-            '"events": [{"period": 2, "kind": "hire", "role": "ops", "count": 1.5}]',
-        ],
-        ids=["null-events", "unknown-kind", "string-count", "fractional-count"],
-    )
-    def test_wrong_value_type_is_parse_error(self, tmp_path, extra):
+    def test_json_nested_too_deep_is_parse_error(self, tmp_path):
         path = tmp_path / "scenario.json"
-        path.write_text('{"t_max": 5, "n": 2, "seed": 0, ' + extra + "}", encoding="utf-8")
-        with pytest.raises(ParseError):
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(ParseError, match="invalid JSON"):
             read_scenario_json(path)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ('"events": null', "events must be a list"),
+            ('"events": [{"period": 2, "kind": "promote", "role": "ops", "count": 1}]',
+             "'promote' is not a valid EventKind"),
+            ('"events": [{"period": 2, "kind": "hire", "role": "ops", "count": "two"}]',
+             "count must be an integer"),
+            ('"events": [{"period": 2, "kind": "hire", "role": "ops", "count": 1.5}]',
+             "count must be an integer"),
+            ('"events": [{"period": 2, "kind": "hire", "role": null, "count": 1}]',
+             "role must be a string"),
+            ('"base_level": "100"', "base_level must be a real number"),
+            ('"noise_scale": true', "noise_scale must be a real number"),
+            ('"base_level": ' + "9" * 400, "base_level is too large for a float"),
+            ('"t_max": 20.0', "t_max must be an integer"),
+            (None, "the scenario must be a JSON object, got list"),
+            ('"events": {"a": 1}', "events must be a list, got dict"),
+        ],
+        ids=["null-events", "unknown-kind", "string-count", "fractional-count", "null-role",
+             "string-base-level", "bool-noise-scale", "huge-base-level", "float-t-max",
+             "top-level-list", "events-object"],
+    )
+    def test_wrong_value_type_is_parse_error(self, tmp_path, extra, message):
+        path = tmp_path / "scenario.json"
+        # None stands for a top-level list; a later key wins, so extra may override t_max
+        doc = '{"t_max": 5, "n": 2, "seed": 0, ' + extra + "}" if extra else '[{"t_max": 5}]'
+        path.write_text(doc, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            read_scenario_json(path)
+        assert message in str(info.value)
+        assert "\n" not in str(info.value) and len(str(info.value)) < 200
 
 
 class TestModeFixture:

@@ -4,20 +4,27 @@ Each example edits the bytes or lines of a small valid input file, then runs
 the subcommand that reads it in-process. Whatever the edit, the run exits 0,
 1 or 2; exit 1 prints exactly one ``error:`` line; no exception or numpy
 warning escapes (the test settings turn RuntimeWarning into an error); and a
-failed run leaves none of its output files behind. Scenario files are left
-out: a mutated ``t_max`` can ask for gigabytes of real memory.
+failed run leaves none of its output files behind.
+
+Scenario files go only through the reader, never through ``simulate``: a
+mutated ``t_max`` can ask for gigabytes of real memory. Reading allocates
+nothing of that size, and must return a Scenario or raise a UcindexError.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ucindex.cli import cli_main
+from ucindex.errors import UcindexError
+from ucindex.io_formats import read_scenario_json
+from ucindex.scenario import Scenario
 
 SERIES = "t,a,b,c\n" + "".join(f"{t},{t}.5,{10 - t},{t * t}e-1\n" for t in range(1, 9))
 COMPLIANCE = "competency_id,a,b,c\n1,1,0,1\n2,0,0,1\n"
@@ -54,29 +61,46 @@ CASES = {
     "fixture-verify": (FIXTURE, "fixture-verify --fixture {input}", ()),
 }
 
+# one key per line, so line edits drop, repeat or swap keys and a token edit can replace one
+SCENARIO = json.dumps({
+    "t_max": 20, "n": 4, "seed": 7, "base_level": 100.0, "noise_scale": 0.5, "event_effect": 1.25,
+    "events": [{"period": 4, "kind": "hire", "role": "ops", "count": 1},
+               {"period": 9, "kind": "dismiss", "role": "ops", "count": 1}],
+}, indent=2)
+
 EDITS = ["replace", "insert", "delete", "token", "drop", "repeat", "swap"]
 ODD_BYTES = st.sampled_from(list(b"0123456789.,-+eE_#\n\r\t \x00\xff\x85"))
 ODD_TOKENS = st.sampled_from(
     ["", " ", "-1", "0", "1e308", "1e400", "-1e400", "nan", "inf", "1_0", "0x10", "1,2", "t"]
 )
 
+JSON_BYTES = st.sampled_from(list(b'0123456789.-+eE_"{}[]:,\n \x00\xff'))
+JSON_KEYS = ["t_max", "n", "seed", "base_level", "noise_scale", "event_effect", "events", "period",
+             "kind", "role", "count", "extra"]
+JSON_VALUES = ["null", "true", '""', '"x"', '"hire"', "[]", "{}", "[{}]", "-1", "0", "2.0", "1e400",
+               "NaN", "9" * 400]
+JSON_TOKENS = st.one_of(
+    st.sampled_from(JSON_VALUES),
+    st.builds('"{}": {}'.format, st.sampled_from(JSON_KEYS), st.sampled_from(JSON_VALUES)),
+)
+
 
 @st.composite
-def mutated(draw, text: str) -> bytes:
+def mutated(draw, text: str, odd_bytes=ODD_BYTES, odd_tokens=ODD_TOKENS) -> bytes:
     """``text`` after one to three random byte, token or line edits."""
     data = text.encode()
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(EDITS))
         at = draw(st.integers(0, max(len(data) - 1, 0)))
         if edit in ("replace", "insert", "delete"):
-            byte = bytes([draw(ODD_BYTES)]) if edit != "delete" else b""
+            byte = bytes([draw(odd_bytes)]) if edit != "delete" else b""
             data = data[:at] + byte + data[at + (edit != "insert"):]
             continue
         lines = data.split(b"\n")
         i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
         if edit == "token":
             fields = lines[i].split(b",")
-            fields[j % len(fields)] = draw(ODD_TOKENS).encode()
+            fields[j % len(fields)] = draw(odd_tokens).encode()
             lines[i] = b",".join(fields)
         elif edit == "drop":
             del lines[i]
@@ -112,3 +136,12 @@ def test_mutated_input_keeps_the_error_contract(tmp_path_factory, case, data):
     if code != 0:
         for output in outputs:
             assert not Path(output.format(**paths)).exists()
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=mutated(SCENARIO, JSON_BYTES, JSON_TOKENS))
+def test_mutated_scenario_reads_or_raises_a_domain_error(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("scenario") / "scenario.json"
+    path.write_bytes(content)
+    with contextlib.suppress(UcindexError):
+        assert isinstance(read_scenario_json(path), Scenario)

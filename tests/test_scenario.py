@@ -130,3 +130,40 @@ class TestValidation:
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             ScenarioEvent(period=1, kind="promote", role="x", count=1)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"t_max": "5"}, "t_max must be an integer"),
+            ({"n": 2.0}, "n must be an integer"),
+            ({"seed": True}, "seed must be an integer"),
+            ({"base_level": None}, "base_level must be a real number"),
+            ({"noise_scale": "5"}, "noise_scale must be a real number"),
+            ({"event_effect": False}, "event_effect must be a real number"),
+            ({"base_level": 10**400}, "base_level is too large for a float"),
+        ],
+    )
+    def test_wrong_field_type_is_type_error(self, fields, message):
+        with pytest.raises(TypeError, match=message):
+            Scenario(**{"t_max": 5, "n": 1, "seed": 0, **fields})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"period": "1"}, "period must be an integer"),
+            ({"count": 1.0}, "count must be an integer"),
+            ({"count": True}, "count must be an integer"),
+            ({"role": None}, "role must be a string"),
+            ({"role": 3}, "role must be a string"),
+        ],
+    )
+    def test_wrong_event_field_type_is_type_error(self, fields, message):
+        with pytest.raises(TypeError, match=message):
+            ScenarioEvent(**{"period": 1, "kind": "hire", "role": "x", "count": 1, **fields})
+
+    def test_numbers_are_stored_as_their_field_types(self):
+        scenario = Scenario(t_max=np.int64(5), n=1, seed=0, base_level=100,
+                            noise_scale=np.float32(0.5))
+        assert type(scenario.t_max) is int
+        assert (type(scenario.base_level), scenario.base_level) == (float, 100.0)
+        assert (type(scenario.noise_scale), scenario.noise_scale) == (float, 0.5)
