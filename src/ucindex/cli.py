@@ -43,6 +43,7 @@ from .io_formats import (
     read_scalar_csv,
     read_scenario_json,
     read_series_csv,
+    staged_writes,
     write_scenario_json,
     write_series_csv,
 )
@@ -99,9 +100,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
     text = emit_report(comparison, args.format, derivation=derivation, stamp=args.stamp)
-    if args.plot_data:  # first, so a plot file that cannot be written leaves no report
-        emit_plot_data(comparison, args.plot_data)
-    _write_or_print(text, args.out)
+    with staged_writes() as write:
+        if args.plot_data:
+            emit_plot_data(comparison, args.plot_data, write)
+        if args.out:
+            write(args.out, text)
+    if not args.out:  # only once every file is in place
+        sys.stdout.write(text)
     return 0
 
 
@@ -116,11 +121,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metadata = [("seed", str(scenario.seed)), ("noise", NOISE_ALGORITHM)]
-    write_scenario_json(out_dir / "scenario.json", scenario)
-    write_series_csv(out_dir / "basic.csv", basic,
-                     metadata_lines([*metadata, ("mode", BASIC_LABEL)]))
-    write_series_csv(out_dir / "universal.csv", competency,
-                     metadata_lines([*metadata, ("mode", COMPETENCY_LABEL)]))
+    with staged_writes() as write:
+        write_scenario_json(out_dir / "scenario.json", scenario, write)
+        write_series_csv(out_dir / "basic.csv", basic,
+                         metadata_lines([*metadata, ("mode", BASIC_LABEL)]), write)
+        write_series_csv(out_dir / "universal.csv", competency,
+                         metadata_lines([*metadata, ("mode", COMPETENCY_LABEL)]), write)
     for name in ("scenario.json", "basic.csv", "universal.csv"):
         print(out_dir / name)
     return 0

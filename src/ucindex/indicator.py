@@ -7,9 +7,16 @@ and j over the window. The per-variable indicator at t is the sum of
 absolute values along row i of R, and the integral indicator of a whole run
 is the sum of those values over every defined period and variable.
 
-R is symmetric bit for bit with no mirroring step: IEEE multiplication
-commutes exactly (x_i*x_j == x_j*x_i), and :func:`gram_matrix` adds the
-products for (i, j) and (j, i) in the same lag order.
+Determinism contract: :func:`gram_matrix` adds the k products of each entry
+in ascending lag order, with no BLAS call, so its result is bit-identical to
+the defining loop in :func:`gram_matrix_bruteforce` and never depends on a
+blocking or threading choice. That order belongs to numpy's ``einsum``
+implementation, not to this module; the strict kernel tests pin it with
+``np.array_equal`` against the oracle, so a numpy that changes it fails the
+tests instead of shifting results silently. R is therefore symmetric bit for
+bit with no mirroring step: IEEE multiplication commutes exactly
+(x_i*x_j == x_j*x_i), and the products for (i, j) and (j, i) are added in the
+same order.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -187,7 +194,7 @@ _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
 def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
-    """The window as a float array, once it passes the checks both Gram kernels share."""
+    """The window as a float array, once it passes the checks the kernel and its oracle share."""
     w = np.asarray(window, dtype=float)
     if k < 2:
         raise BadWindow(f"window length must be >= 2, got k={k}")
@@ -202,11 +209,12 @@ def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     """Cross-moment matrix W'W / (k-1) of a k x n lag window.
 
-    Entries are accumulated lag by lag in ascending order (one rank-1 update
-    per window row, into one reused buffer), so the reduction order is fixed
-    and results never depend on a BLAS blocking choice. Symmetry is bit-exact
-    without any mirroring step: IEEE multiplication commutes exactly, so
-    entries (i, j) and (j, i) add the same products in the same lag order.
+    One ``np.einsum`` over the window in C order (no BLAS, no ``optimize``
+    path) adds each entry's k products in ascending lag order, the order of
+    the oracle's loop (see the module's determinism contract); numpy loops in
+    another order over a Fortran-ordered or strided window. A
+    one-variable window gets a zero column appended first: at n = 1 numpy
+    would reduce the lag axis with an unrolled, reordered dot product.
 
     Raises
     ------
@@ -215,12 +223,13 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    w = _checked_window(window, k)
+    w = np.ascontiguousarray(_checked_window(window, k))
     n = w.shape[1]
-    g = np.zeros((n, n))
-    buf = np.empty((n, n))
-    for row in w:
-        g += np.multiply.outer(row, row, out=buf)
+    if n == 1:
+        w = np.hstack((w, np.zeros((k, 1))))
+    g = np.einsum("li,lj->ij", w, w, optimize=False)[:n, :n]
+    if not np.isfinite(g).all():  # einsum's inner loops do not report to np.errstate
+        raise NonFiniteValue("overflow encountered")
     g /= k - 1
     return g
 

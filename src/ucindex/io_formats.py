@@ -5,7 +5,8 @@ regardless of locale. Lines starting with ``#`` are metadata comments and
 are skipped by every reader. Numeric series values are written with
 ``repr`` precision so a write/read round trip reproduces them exactly.
 Writers go through a write-temp-then-rename step so a crash never leaves a
-half-written file behind.
+half-written file behind; ``staged_writes`` extends that to a set of files
+that appear together or not at all.
 
 Every reader decodes its file in ``_reading`` (errors name the file); the
 line formats share ``_data_lines``, and one table parser serves every CSV,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import importlib.resources
 import itertools
 import json
@@ -59,28 +61,67 @@ _FIXTURE_RESOURCE = "mode_comparison_57.csv"
 _CATALOG_RESOURCE = "universal_competencies_32.tsv"
 _PLAIN_NUMBERS = "only plain ASCII numbers are allowed, without '_'"
 
+Writer = Callable[[str | Path, str], None]  # write(path, text), as staged_writes yields it
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` via a unique temporary file and an atomic rename.
 
-    The temporary file sits in the target's directory under a fresh random
-    name, so concurrent writers never share it; the umask gives it the mode a
-    plain open() would. If the write fails it is removed and the target is
-    left as it was. An OSError names ``path``, not the temporary file.
-    """
-    path = Path(path)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+@contextlib.contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """Re-raise an OSError so that it names ``path``, not the temporary file."""
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        yield
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
+@contextlib.contextmanager
+def staged_writes() -> Iterator[Writer]:
+    """Yield ``write(path, text)``; the files written in the block appear together or not at all.
+
+    Each ``write`` puts its text at once into a temporary file in the
+    target's directory, under a fresh random name so concurrent writers never
+    share it; the umask gives it the mode a plain open() would. When the block
+    ends without an error, every target is first checked not to be a
+    directory, then every temporary file is renamed over its target. On any
+    failure the temporary files not yet renamed are removed, so no target has
+    changed unless a rename itself failed. An OSError names the target.
+    """
+    staged: list[tuple[Path, Path]] = []  # (temporary file, target), not yet renamed
+
+    def write(path: str | Path, text: str) -> None:
+        path = Path(path)
+        tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+        with _naming(path):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+                    f.write(text)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        staged.append((tmp, path))
+
+    try:
+        yield write
+        for _, path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        while staged:
+            tmp, path = staged[0]
+            with _naming(path):
+                os.replace(tmp, path)
+            del staged[0]
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write text to ``path`` as the one file of :func:`staged_writes`.
+
+    If the write fails, the target is left as it was and no temporary file remains.
+    """
+    with staged_writes() as write:
+        write(path, text)
 
 
 @contextlib.contextmanager
@@ -228,11 +269,13 @@ def read_series_csv(path: str | Path) -> ProcessSeries:
         return ProcessSeries(values=table.cells.T, variable_labels=table.names)
 
 
-def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable[str] = ()) -> None:
+def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable[str] = (),
+                     write: Writer = atomic_write_text) -> None:
     """Write a process series at full (round-trip exact) precision.
 
     ``comments`` (lines from :func:`metadata_lines`) lead the file. A label
-    holding ``,``, ``#`` or a line break raises ParseError.
+    holding ``,``, ``#`` or a line break raises ParseError. ``write`` may be
+    the writer of a :func:`staged_writes` block.
     """
     for label in series.variable_labels:
         if "," in label or "#" in label or not _one_line(label):
@@ -240,7 +283,7 @@ def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable
     out = [*comments, "t," + ",".join(series.variable_labels)]
     for t, row in enumerate(series.values.T.tolist(), start=1):
         out.append(f"{t}," + ",".join(map(repr, row)))
-    atomic_write_text(path, "\n".join(out) + "\n")
+    write(path, "\n".join(out) + "\n")
 
 
 def read_compliance_csv(path: str | Path) -> ComplianceMatrix:
@@ -341,9 +384,13 @@ def read_scenario_json(path: str | Path) -> Scenario:
             raise ParseError(str(exc)) from None
 
 
-def write_scenario_json(path: str | Path, scenario: Scenario) -> None:
-    """Write a scenario document; its keys are the Scenario and ScenarioEvent fields."""
-    atomic_write_text(path, json.dumps(dataclasses.asdict(scenario), indent=2) + "\n")
+def write_scenario_json(path: str | Path, scenario: Scenario,
+                        write: Writer = atomic_write_text) -> None:
+    """Write a scenario document; its keys are the Scenario and ScenarioEvent fields.
+
+    ``write`` may be the writer of a :func:`staged_writes` block.
+    """
+    write(path, json.dumps(dataclasses.asdict(scenario), indent=2) + "\n")
 
 
 @dataclasses.dataclass(frozen=True)

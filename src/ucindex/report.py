@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
-from .io_formats import atomic_write_text, metadata_lines
+from .io_formats import Writer, atomic_write_text, metadata_lines
 
 
 class ReportFormat(str, Enum):
@@ -134,14 +134,16 @@ def emit_report(
     return render_report(build_report_table(comparison, derivation=derivation, stamp=stamp), fmt)
 
 
-def emit_plot_data(comparison: ModeComparison, path: str | Path) -> None:
+def emit_plot_data(comparison: ModeComparison, path: str | Path,
+                   write: Writer = atomic_write_text) -> None:
     """Write per-period scalars as a bare three-column full-precision CSV.
 
     Output is header ``t,basic,universal_competencies`` plus one row per
     defined period; byte-identical for identical input, and readable back
-    through the scalar-CSV reader for re-reporting.
+    through the scalar-CSV reader for re-reporting. ``write`` may be the
+    writer of a :func:`~ucindex.io_formats.staged_writes` block.
     """
     lines = ["t,basic,universal_competencies"]
     for t, b, c, _ in _rows(comparison)[0]:
         lines.append(f"{t},{b!r},{c!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write(path, "\n".join(lines) + "\n")

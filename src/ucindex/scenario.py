@@ -141,10 +141,12 @@ def role_blocks(scenario: Scenario) -> dict[str, range]:
             blocks[role] = range(start, start + size)
             start += size
     for event in scenario.events:
-        if event.count > len(blocks[event.role]):
+        block = blocks[event.role]
+        held = block.stop - block.start  # len() raises OverflowError past sys.maxsize
+        if event.count > held:
             raise InvalidScenario(
                 f"event needs {event.count} variables for role {event.role!r}, "
-                f"but its block holds only {len(blocks[event.role])}"
+                f"but its block holds only {held}"
             )
     return blocks
 

@@ -188,6 +188,18 @@ class TestCompare:
         assert captured.err.endswith(f"'{plot}'\n") and captured.err.count("\n") == 1
         assert not report.exists()
 
+    def test_unwritable_report_leaves_no_plot_data(self, small_series, tmp_path, capsys):
+        report, plot = tmp_path / "nodir" / "r.csv", tmp_path / "p.csv"
+        code = cli_main([
+            "compare", "--basic", str(small_series), "--universal", str(small_series),
+            "--window", "4", "--plot-data", str(plot), "--out", str(report),
+        ])
+        assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: FileNotFoundError: ")
+        assert errors[0].endswith(f"'{report}'")
+        assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
     def test_plot_data_written(self, small_series, tmp_path):
         plot = tmp_path / "plot.csv"
         code = cli_main([
@@ -242,6 +254,18 @@ class TestSimulate:
             if not l.startswith("#")
         ]
         assert len(data) == 1 + 15
+
+    def test_unwritable_last_file_leaves_no_output_set(self, tmp_path, capsys):
+        out_dir = tmp_path / "sim"
+        (out_dir / "universal.csv").mkdir(parents=True)
+        code = cli_main(["simulate", "--out-dir", str(out_dir)])
+        assert code == 1
+        captured = capsys.readouterr()
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: IsADirectoryError: ")
+        assert errors[0].endswith(f"'{out_dir / 'universal.csv'}'")
+        assert captured.out == ""
+        assert [p.name for p in out_dir.iterdir()] == ["universal.csv"]
 
     def check_one_error_line_and_no_output(self, capsys, out_dir, code):
         assert code == 1

@@ -102,6 +102,11 @@ class TestGramMatrix:
         with pytest.raises(NonFiniteValue, match="overflow"):
             gram_matrix(np.array([[1e200, 1.0], [1.0, 1.0]]), 2)
 
+    def test_opposite_sign_overflow_is_non_finite_value(self):
+        # entry (0, 1) sums 1e400 - 1e400: inf - inf gives NaN, not inf
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            gram_matrix(np.array([[1e200, 1e200], [1e200, -1e200], [1.0, 1.0]]), 3)
+
 
 class TestBruteForceOracle:
     def test_same_hand_computed_value(self):
@@ -120,6 +125,36 @@ class TestBruteForceOracle:
         fast = gram_matrix(window, k)
         slow = gram_matrix_bruteforce(window, k)
         np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=0)
+
+
+def strict_windows() -> dict[str, tuple[np.ndarray, int]]:
+    """Windows on which the fast path must equal the oracle bit for bit, by layout and content."""
+    rng = np.random.default_rng(17)
+    base = rng.uniform(-10, 10, size=(12, 40))
+    spiked = base.copy()
+    spiked[4, 7] *= 1e6
+    signs = np.where(rng.random((12, 40)) < 0.5, -1.0, 1.0)
+    windows = {
+        "c-order": (base, 12),
+        "fortran-order": (np.asfortranarray(base), 12),
+        "strided": (rng.uniform(-10, 10, size=(12, 80))[:, ::2], 12),
+        "spike": (spiked, 12),
+        "cancellation": (signs * 1e8 + rng.uniform(-1, 1, size=(12, 40)), 12),
+    }
+    for k in (3, 12, 60):
+        for draw in range(8):  # numpy reduces a single column in another order unless padded
+            windows[f"n1-k{k}-{draw}"] = (rng.normal(size=(k, 1)) * rng.uniform(0.1, 1e3), k)
+    return windows
+
+
+STRICT_WINDOWS = strict_windows()
+
+
+@pytest.mark.parametrize("name", STRICT_WINDOWS)
+def test_fast_path_is_bit_identical_to_oracle(name):
+    # stricter than the 1e-12 bound above: the summation order itself is pinned
+    window, k = STRICT_WINDOWS[name]
+    assert np.array_equal(gram_matrix(window, k), gram_matrix_bruteforce(window, k))
 
 
 class TestRowIndicator:
@@ -234,6 +269,12 @@ class TestIndicatorSeries:
             config = WindowConfig(k=3, standardize=standardize)
             with pytest.raises(NonFiniteValue, match="spiked, period 7: overflow"):
                 indicator_series(labelled(values), config, "spiked")
+
+    def test_opposite_sign_overflow_names_label_and_period(self):
+        # the window of period 4 is [[1e200, 1e200], [1e200, -1e200], [1, 1]]
+        values = np.array([[1.0, 1e200, 1e200, 1.0], [1.0, -1e200, 1e200, 1.0]])
+        with pytest.raises(NonFiniteValue, match="^mixed, period 4: overflow"):
+            indicator_series(labelled(values), WindowConfig(k=3), "mixed")
 
     @pytest.mark.parametrize(
         "value, error",

@@ -9,6 +9,8 @@ failed run leaves none of its output files behind.
 Scenario files go only through the reader, never through ``simulate``: a
 mutated ``t_max`` can ask for gigabytes of real memory. Reading allocates
 nothing of that size, and must return a Scenario or raise a UcindexError.
+Besides byte and line edits, a scenario may have one key's value replaced by
+a wrongly typed or oversized one, which byte edits rarely produce.
 """
 
 from __future__ import annotations
@@ -85,6 +87,20 @@ JSON_TOKENS = st.one_of(
 )
 
 
+# every JSON type a field does not take, and an integer too large for a float field
+HOSTILE_VALUES = st.sampled_from([None, True, "x", 10**400 - 1, [[1]]])
+
+
+@st.composite
+def value_edited(draw, text: str) -> bytes:
+    """JSON object ``text`` with one key's value replaced, at the top level or in a listed object."""
+    doc = json.loads(text)
+    owners = [doc, *(item for value in doc.values() if isinstance(value, list) for item in value)]
+    owner, key = draw(st.sampled_from([(owner, key) for owner in owners for key in owner]))
+    owner[key] = draw(HOSTILE_VALUES)
+    return json.dumps(doc).encode()
+
+
 @st.composite
 def mutated(draw, text: str, odd_bytes=ODD_BYTES, odd_tokens=ODD_TOKENS) -> bytes:
     """``text`` after one to three random byte, token or line edits."""
@@ -138,8 +154,8 @@ def test_mutated_input_keeps_the_error_contract(tmp_path_factory, case, data):
             assert not Path(output.format(**paths)).exists()
 
 
-@settings(max_examples=200, deadline=None)
-@given(content=mutated(SCENARIO, JSON_BYTES, JSON_TOKENS))
+@settings(max_examples=400, deadline=None)
+@given(content=st.one_of(mutated(SCENARIO, JSON_BYTES, JSON_TOKENS), value_edited(SCENARIO)))
 def test_mutated_scenario_reads_or_raises_a_domain_error(tmp_path_factory, content):
     path = tmp_path_factory.mktemp("scenario") / "scenario.json"
     path.write_bytes(content)

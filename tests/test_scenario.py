@@ -127,6 +127,13 @@ class TestValidation:
                 ),
             )
 
+    def test_checks_role_blocks_wider_than_sys_maxsize(self):
+        # len() of such a range raises OverflowError; the block size must not need it
+        events = (ScenarioEvent(period=1, kind="hire", role="a", count=10**400),)
+        assert Scenario(t_max=5, n=10**400, seed=0, events=events).n == 10**400
+        with pytest.raises(InvalidScenario, match="holds only"):
+            Scenario(t_max=5, n=10**400 - 1, seed=0, events=events)
+
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
             ScenarioEvent(period=1, kind="promote", role="x", count=1)
