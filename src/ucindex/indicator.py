@@ -13,10 +13,12 @@ the defining loop in :func:`gram_matrix_bruteforce` and never depends on a
 blocking or threading choice. That order belongs to numpy's ``einsum``
 implementation, not to this module; the strict kernel tests pin it with
 ``np.array_equal`` against the oracle, so a numpy that changes it fails the
-tests instead of shifting results silently. R is therefore symmetric bit for
-bit with no mirroring step: IEEE multiplication commutes exactly
-(x_i*x_j == x_j*x_i), and the products for (i, j) and (j, i) are added in the
-same order.
+tests instead of shifting results silently. Every slice of a p x k x n stack
+of windows gets the same order (the stacked strict tests pin it as well), so
+a period's values do not depend on the chunk it was computed in. R is
+therefore symmetric bit for bit with no mirroring step: IEEE multiplication
+commutes exactly (x_i*x_j == x_j*x_i), and the products for (i, j) and
+(j, i) are added in the same order.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -50,6 +52,11 @@ from .process_model import ProcessSeries, slice_window
 INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
+
+# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n): a chunk
+# holds p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods, 227 at n = 24, k = 12, and
+# one from n = 257 on. A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+CHUNK_BYTES = 2**20
 
 
 class Warmup(str, Enum):
@@ -193,12 +200,12 @@ def _raise_non_finite(error: str, flag: int) -> None:
 _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
-def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
+def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.ndarray:
     """The window as a float array, once it passes the checks the kernel and its oracle share."""
     w = np.asarray(window, dtype=float)
     if k < 2:
         raise BadWindow(f"window length must be >= 2, got k={k}")
-    if w.ndim != 2 or w.shape[0] != k:
+    if w.ndim not in ndims or w.shape[-2] != k:
         raise BadWindow(f"expected {k} window rows, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NonFiniteValue("window contains NaN or infinite entries")
@@ -207,7 +214,7 @@ def _checked_window(window: np.ndarray, k: int) -> np.ndarray:
 
 @_finite
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
-    """Cross-moment matrix W'W / (k-1) of a k x n lag window.
+    """Cross-moment matrix W'W / (k-1) of a k x n lag window, or one per slice of a p x k x n stack.
 
     One ``np.einsum`` over the window in C order (no BLAS, no ``optimize``
     path) adds each entry's k products in ascending lag order, the order of
@@ -223,11 +230,11 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    w = np.ascontiguousarray(_checked_window(window, k))
-    n = w.shape[1]
+    w = np.ascontiguousarray(_checked_window(window, k, (2, 3)))
+    n = w.shape[-1]
     if n == 1:
-        w = np.hstack((w, np.zeros((k, 1))))
-    g = np.einsum("li,lj->ij", w, w, optimize=False)[:n, :n]
+        w = np.concatenate((w, np.zeros_like(w)), axis=-1)
+    g = np.einsum("...li,...lj->...ij", w, w, optimize=False)[..., :n, :n]
     if not np.isfinite(g).all():  # einsum's inner loops do not report to np.errstate
         raise NonFiniteValue("overflow encountered")
     g /= k - 1
@@ -241,7 +248,7 @@ def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
     from the defining sum. Exists to cross-check the fast path and for
     nothing else.
     """
-    w = _checked_window(window, k)
+    w = _checked_window(window, k, (2,))
     n = w.shape[1]
     g = np.zeros((n, n))
     for i in range(n):
@@ -255,23 +262,23 @@ def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
 
 @_finite
 def standardize_window(window: np.ndarray) -> np.ndarray:
-    """Standardize each window column to zero mean, unit sample variance.
+    """Standardize each column of a window (or of a stack's windows) to zero mean, unit variance.
 
     Columns with zero sample variance are mapped to all-zero rather than
     dividing by zero, so their cross-moments vanish.
     """
-    w = np.asarray(window, dtype=float)
-    if w.shape[0] < 2:
+    w = np.ascontiguousarray(window, dtype=float)  # C order fixes the summation order
+    if w.ndim < 2 or w.shape[-2] < 2:
         raise BadWindow(f"standardization needs >= 2 rows, got shape {w.shape}")
-    centered = w - w.mean(axis=0)
-    std = np.sqrt((centered * centered).sum(axis=0) / (len(w) - 1))
+    centered = w - w.mean(axis=-2, keepdims=True)
+    std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) / (w.shape[-2] - 1))
     return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
 
 
 @_finite
 def row_indicator(matrix: np.ndarray) -> np.ndarray:
-    """Per-variable indicator: sum of absolute values along each row, diagonal included."""
-    return np.abs(np.asarray(matrix, dtype=float)).sum(axis=1)
+    """Per-variable indicator: sum of absolute values along each row (of each matrix of a stack)."""
+    return np.abs(np.asarray(matrix, dtype=float)).sum(axis=-1)
 
 
 def indicator_series(
@@ -284,7 +291,8 @@ def indicator_series(
     For every period with a complete lag window (or a shrunken one of at
     least two lags, under ``Warmup.SHRINK``) this slices the window, forms
     the Gram-correlation matrix, and takes the per-variable row sums of
-    absolute values.
+    absolute values: full windows a chunk of consecutive periods at a time,
+    one stacked call per step (see ``CHUNK_BYTES``), shrunken ones singly.
 
     Raises
     ------
@@ -301,15 +309,21 @@ def indicator_series(
             f"(k={config.k}, warmup={config.warmup.value})"
         )
     rows = np.empty((len(ts), series.n))
-    try:
-        for r, t in enumerate(ts):
-            k = min(config.k, t - 1)
-            window = slice_window(series, t, k)
+    per_chunk = max(1, CHUNK_BYTES // (8 * series.n * max(series.n, config.k)))
+    t = ts.start
+    while t in ts:
+        k = min(config.k, t - 1)
+        count = min(per_chunk if k == config.k else 1, ts.stop - t)
+        try:
+            window = slice_window(series, t, k, count)
             if config.standardize:
                 window = standardize_window(window)
-            rows[r] = row_indicator(gram_matrix(window, k))
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{mode_label}, period {t}: {exc}") from None
+            rows[t - ts.start : t - ts.start + count] = row_indicator(gram_matrix(window, k))
+            t += count
+        except NonFiniteValue as exc:
+            if count == 1:
+                raise NonFiniteValue(f"{mode_label}, period {t}: {exc}") from None
+            per_chunk = 1  # redo this chunk a period at a time, so the error names the period
     return IndicatorSeries(ts.start, rows, config, mode_label)
 
 

@@ -37,6 +37,7 @@ import importlib.resources
 import itertools
 import json
 import os
+from array import array
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -195,7 +196,7 @@ def _parse_table(
     text: str,
     key: str,
     columns: tuple[str, ...] | None = None,
-    cell: Callable[[list[str], int], Iterable[float]] = _floats,
+    cell: Callable[[list[str], int], list] = _floats,
     first: int | None = 1,
 ) -> _Table:
     """Parse a CSV table: header ``key,<value columns>``, then one row per key.
@@ -215,7 +216,7 @@ def _parse_table(
         spec = ",".join(columns) if columns else "<name1>,...,<namen>"
         raise ParseError(f"header must be '{key},{spec}'", line=header_lineno)
     width = len(names)
-    flat: list[float] = []
+    flat = array("d")  # 8 bytes a cell; a list would hold a 24-byte float object per cell
     rows = 0
     for lineno, raw in lines:
         parts = raw.split(",")
@@ -234,7 +235,7 @@ def _parse_table(
                 f"expected {key} {first + rows}, got {k} (must be consecutive from {first})",
                 line=lineno,
             )
-        flat.extend(cell(parts[1:], lineno))
+        flat.fromlist(cell(parts[1:], lineno))
         rows += 1
     if not rows:
         raise ParseError("no data rows")

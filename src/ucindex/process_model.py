@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, NonFiniteValue, WindowOutOfRange
 
@@ -67,42 +68,44 @@ class ProcessSeries:
         return self.values.shape[1]
 
 
-def slice_window(series: ProcessSeries, t: int, k: int) -> np.ndarray:
-    """Extract the lag-window matrix for period t.
+def slice_window(series: ProcessSeries, t: int, k: int, count: int = 1) -> np.ndarray:
+    """Extract the lag-window matrix for period t, or a stack of them for periods t onward.
 
-    Row l (l = 1..k) of the result is the indicator vector at period t-l, so
+    Row l (l = 1..k) of a window is the indicator vector at period t-l, so
     the window covers the k periods immediately preceding t, most recent
-    first. The window must lie fully inside recorded history: valid
-    arguments satisfy 1 <= k < t <= t_max + 1.
+    first. With ``count`` > 1, slice i of the result is the window of period
+    t+i. Every window must lie fully inside recorded history: valid
+    arguments satisfy 1 <= k < t and t + count - 1 <= t_max + 1.
 
     Parameters
     ----------
     series : ProcessSeries
         Source of the indicator columns.
     t : int
-        Period the window precedes (1-based).
+        Period the (first) window precedes (1-based).
     k : int
         Window length in periods.
+    count : int
+        Number of consecutive periods, at least 1.
 
     Returns
     -------
-    np.ndarray, shape (k, n)
-        A fresh matrix; the source is never mutated.
+    np.ndarray, shape (k, n) when count is 1, else (count, k, n)
+        A fresh C-ordered array; the source is never mutated.
 
     Raises
     ------
     WindowOutOfRange
-        If t - k < 1 or t > t_max + 1 or k < 1.
+        If t - k < 1, t + count - 1 > t_max + 1, k < 1 or count < 1.
     """
-    if k < 1:
-        raise WindowOutOfRange(f"window length must be >= 1, got k={k}")
-    if t - k < 1:
+    if k < 1 or count < 1:
+        raise WindowOutOfRange(f"window length and count must be >= 1, got k={k}, count={count}")
+    if t - k < 1 or t + count - 1 > series.t_max + 1:
         raise WindowOutOfRange(
-            f"window of length {k} before period {t} starts at period {t - k} < 1"
+            f"windows of length {k} for periods {t}..{t + count - 1} need periods "
+            f"{t - k}..{t + count - 2}, not all inside recorded history 1..{series.t_max}"
         )
-    if t > series.t_max + 1:
-        raise WindowOutOfRange(
-            f"period {t} outside recorded history (t_max={series.t_max})"
-        )
-    # periods t-k .. t-1 are 0-based columns t-k-1 .. t-2; reversed, most recent first
-    return series.values[:, t - k - 1 : t - 1][:, ::-1].T.copy()
+    # the span holds periods t-k .. t+count-2; window i is its columns i .. i+k-1, reversed
+    span = series.values[:, t - k - 1 : t + count - 2]
+    stack = sliding_window_view(span, k, axis=1)[:, :, ::-1].transpose(1, 2, 0).copy()
+    return stack[0] if count == 1 else stack

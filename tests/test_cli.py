@@ -432,6 +432,27 @@ def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, m
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("standardize", [[], ["--standardize"]], ids=["raw", "standardized"])
+def test_overflow_at_a_chunk_end_names_its_period_and_writes_nothing(tmp_path, capsys, standardize):
+    # n = 24, k = 3: the first full-window chunk runs from period 4 to 230, and the
+    # 1e200 at period 229 first enters the window of that chunk's last period
+    values = np.random.default_rng(6).uniform(1, 10, size=(24, 500))
+    values[5, 228] = 1e200
+    spiked, plain = tmp_path / "spiked.csv", tmp_path / "plain.csv"
+    write_series(spiked, values)
+    write_series(plain, np.ones((24, 500)))
+    out, plot = tmp_path / "out.csv", tmp_path / "plot.csv"
+    runs = [(["indicator", str(spiked), "--label", "spiked", "--out", str(out)], "spiked"),
+            (["compare", "--basic", str(plain), "--universal", str(spiked), "--out", str(out),
+              "--plot-data", str(plot)], "universal-competencies")]
+    for command, label in runs:
+        assert cli_main([*command, "--window", "3", *standardize]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: NonFiniteValue: {label}, period 230: overflow encountered\n"
+        assert not out.exists() and not plot.exists()
+
+
 def test_error_names_the_file_it_was_read_from(tmp_path, capsys):
     good, bad = tmp_path / "a.csv", tmp_path / "b.csv"
     good.write_text("t,x\n1,1\n2,2\n3,3\n", encoding="utf-8")

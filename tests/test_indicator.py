@@ -31,6 +31,7 @@ from ucindex.indicator import (
     row_indicator,
     standardize_window,
 )
+from ucindex.process_model import slice_window
 
 
 def labelled(values: np.ndarray) -> ProcessSeries:
@@ -67,6 +68,55 @@ def brute_force_total(series: ProcessSeries, k: int) -> float:
         for i in range(series.n):
             total += sum(abs(g[i, j]) for j in range(series.n))
     return total
+
+
+KERNEL = ("slice_window", "standardize_window", "gram_matrix", "row_indicator")
+
+
+def record_kernel_calls(monkeypatch) -> list[tuple[str, range]]:
+    """Patch the kernel functions in ``indicator`` to log each call with the periods it covers.
+
+    A slice covers the periods its arguments name; every other kernel function
+    covers those of the array it was passed, which must be one a kernel
+    function returned. The patched functions take positional arguments only,
+    as a traced or swapped-in kernel would.
+    """
+    log: list[tuple[str, range]] = []
+    covered: dict[int, range] = {}
+    result_ndim = {"slice_window": 2, "standardize_window": 2, "gram_matrix": 2, "row_indicator": 1}
+
+    def recording(name, function):
+        def recorded(*args):
+            if name == "slice_window":
+                _, t, _, count = (*args, 1)[:4]
+                periods = range(t, t + count)
+            else:
+                periods = covered.pop(id(args[0]))
+            result = function(*args)
+            # one period gets a single window, several get a stack with one slice each
+            assert result.ndim == result_ndim[name] + (len(periods) > 1)
+            assert len(periods) == 1 or len(result) == len(periods)
+            covered[id(result)] = periods
+            log.append((name, periods))
+            return result
+        return recorded
+
+    for name in KERNEL:
+        monkeypatch.setattr(indicator, name, recording(name, getattr(indicator, name)))
+    return log
+
+
+def per_period_values(series: ProcessSeries, config: WindowConfig, gram, periods=None) -> np.ndarray:
+    """Indicator rows from one 2-D window per period, with ``gram`` forming each matrix."""
+    first = (2 if config.warmup is Warmup.SHRINK else config.k) + 1
+    rows = []
+    for t in periods or range(first, series.t_max + 1):
+        k = min(config.k, t - 1)
+        window = slice_window(series, t, k)
+        if config.standardize:
+            window = standardize_window(window)
+        rows.append(row_indicator(gram(window, k)))
+    return np.array(rows)
 
 
 class TestGramMatrix:
@@ -155,6 +205,53 @@ def test_fast_path_is_bit_identical_to_oracle(name):
     # stricter than the 1e-12 bound above: the summation order itself is pinned
     window, k = STRICT_WINDOWS[name]
     assert np.array_equal(gram_matrix(window, k), gram_matrix_bruteforce(window, k))
+
+
+def strict_stacks() -> dict[str, tuple[np.ndarray, int]]:
+    """Stacks of windows, by layout and content, on which each slice must match the oracle."""
+    wide = np.stack([STRICT_WINDOWS[name][0] for name in
+                     ("c-order", "fortran-order", "strided", "spike", "cancellation")])
+    rng = np.random.default_rng(23)
+    values = rng.uniform(-10, 10, size=(40, 40))
+    values[7, 14] *= 1e6  # in the windows of periods 16..27, so it enters and leaves the stack
+    signs = np.where(rng.random((6, 12, 40)) < 0.5, -1.0, 1.0)
+    stacks = {
+        "c-order": (wide, 12),
+        "fortran-order": (np.asfortranarray(wide), 12),
+        "strided": (np.repeat(np.repeat(wide, 2, axis=0), 2, axis=-1)[::2, :, ::2], 12),
+        "spike": (slice_window(labelled(values), 13, 12, 28), 12),
+        "cancellation": (signs * 1e8 + rng.uniform(-1, 1, size=(6, 12, 40)), 12),
+    }
+    for k in (3, 12, 60):
+        stacks[f"n1-k{k}"] = (np.stack([STRICT_WINDOWS[f"n1-k{k}-{d}"][0] for d in range(8)]), k)
+    return stacks
+
+
+STRICT_STACKS = strict_stacks()
+
+
+@pytest.mark.parametrize("name", STRICT_STACKS)
+def test_each_slice_of_a_stack_is_bit_identical_to_the_oracle(name):
+    stack, k = STRICT_STACKS[name]
+    grams = gram_matrix(stack, k)
+    rows = row_indicator(grams)
+    for i, window in enumerate(stack):
+        assert np.array_equal(grams[i], gram_matrix_bruteforce(window, k))
+        assert np.array_equal(rows[i], row_indicator(grams[i]))
+
+
+@pytest.mark.parametrize("name", STRICT_STACKS)
+def test_standardizing_a_stack_is_bit_identical_window_by_window(name):
+    stack, _ = STRICT_STACKS[name]
+    standardized = standardize_window(stack)
+    for i, window in enumerate(stack):
+        assert np.array_equal(standardized[i], standardize_window(window))
+
+
+def test_oracle_rejects_a_stack():
+    stack, k = STRICT_STACKS["c-order"]
+    with pytest.raises(BadWindow):
+        gram_matrix_bruteforce(stack, k)
 
 
 class TestRowIndicator:
@@ -286,29 +383,61 @@ class TestIndicatorSeries:
         with pytest.raises(error, match="^basic, period 5: indicator values"):
             IndicatorSeries(3, values, None, "basic")
 
-    @pytest.mark.parametrize("standardize", [False, True])
+    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
     @pytest.mark.parametrize("warmup", list(Warmup))
-    def test_each_kernel_function_runs_once_per_defined_period(
-        self, monkeypatch, standardize, warmup
+    @pytest.mark.parametrize(
+        "n, per_chunk, k",
+        [(1, 3, 3), (2, 3, 3), (24, 3, 3), (24, None, 4), (400, None, 3)],
+        ids=["n1-3-periods", "n2-3-periods", "n24-3-periods", "n24", "n400"],
+    )
+    def test_chunks_cover_each_defined_period_once_in_order(
+        self, monkeypatch, n, per_chunk, k, warmup, standardize
     ):
-        # indicator_series must reach the kernel through the module's globals, with
-        # positional arguments, so that a patched or traced function sees every period
-        kernel = ("slice_window", "standardize_window", "gram_matrix", "row_indicator")
-        calls = dict.fromkeys(kernel, 0)
+        # per_chunk None keeps the module's chunk size; a number shrinks the cap to that
+        # many periods, so a short series spans several chunks
+        if per_chunk is not None:
+            monkeypatch.setattr(indicator, "CHUNK_BYTES", per_chunk * 8 * n * max(n, k))
+        chunk = max(1, indicator.CHUNK_BYTES // (8 * n * max(n, k)))
+        boundary = k + 1 + chunk  # the first period of the second full-window chunk
+        t_max = boundary + 2 * chunk + 1
+        values = np.random.default_rng(n).uniform(-10, 10, size=(n, t_max))
+        values[n // 2, boundary - 3] *= 1e6  # in the windows of periods boundary-1 .. boundary+k-2
+        series = labelled(values)
+        config = WindowConfig(k=k, standardize=standardize, warmup=warmup)
+        log = record_kernel_calls(monkeypatch)
+        result = indicator_series(series, config)
 
-        def counting(name, function):
-            def counted(*args):
-                calls[name] += 1
-                return function(*args)
-            return counted
+        slices = [periods for name, periods in log if name == "slice_window"]
+        steps = [name for name in KERNEL if standardize or name != "standardize_window"]
+        assert log == [(name, periods) for periods in slices for name in steps]
+        assert [t for periods in slices for t in periods] == list(result.periods)
+        full = t_max - k  # periods with a full window: one chunk of up to `chunk` at a time
+        shrunk = [1] * len(range(result.periods[0], k + 1))
+        assert [len(p) for p in slices] == shrunk + [min(chunk, full - i) for i in range(0, full, chunk)]
 
-        for name in calls:
-            monkeypatch.setattr(indicator, name, counting(name, getattr(indicator, name)))
-        config = WindowConfig(k=4, standardize=standardize, warmup=warmup)
-        result = indicator_series(labelled(np.random.default_rng(4).normal(size=(3, 12))), config)
-        periods = len(result.periods)
-        assert calls == {"slice_window": periods, "standardize_window": periods * standardize,
-                         "gram_matrix": periods, "row_indicator": periods}
+        assert np.array_equal(result.values, per_period_values(series, config, gram_matrix))
+        # the oracle loops in Python: on the long n = 24 run it checks the periods around the
+        # spike, at n = 400 only the period after the spike leaves
+        around = {24: range(boundary - 2, boundary + k), 400: range(boundary + k - 1, boundary + k)}
+        periods = result.periods if per_chunk else around[n]
+        oracle = per_period_values(series, config, gram_matrix_bruteforce, periods)
+        rows = slice(periods[0] - result.periods[0], periods[-1] + 1 - result.periods[0])
+        assert np.array_equal(result.values[rows], oracle)
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+    @pytest.mark.parametrize(
+        "spikes, first_bad",
+        [((99,), 100), ((229,), 230), ((49, 149), 50)],
+        ids=["mid-chunk", "chunk-last-period", "two-in-one-chunk"],
+    )
+    def test_overflow_in_a_chunk_names_its_first_bad_period(self, spikes, first_bad, standardize):
+        # n = 24, k = 3: full-window chunks start at periods 4, 231 and 458
+        values = np.random.default_rng(6).uniform(1, 10, size=(24, 500))
+        for spike in spikes:
+            values[5, spike - 1] = 1e200  # enters the windows of periods spike+1 .. spike+3
+        config = WindowConfig(k=3, standardize=standardize)
+        with pytest.raises(NonFiniteValue, match=f"^spiked, period {first_bad}: overflow"):
+            indicator_series(labelled(values), config, "spiked")
 
     def test_overflowing_total_is_non_finite_value(self):
         with pytest.raises(NonFiniteValue, match="big: the indicator total overflows"):

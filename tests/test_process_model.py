@@ -114,3 +114,31 @@ class TestSliceWindow:
         last = slice_window(series, t + k - 1, k)[k - 1]
         assert np.array_equal(first, last)
         assert np.array_equal(first, series.values[:, t - 2])
+
+    @given(
+        t=st.integers(min_value=2, max_value=30),
+        k=st.integers(min_value=1, max_value=29),
+        count=st.integers(min_value=1, max_value=30),
+        data=st.data(),
+    )
+    def test_stack_slices_are_the_windows_of_consecutive_periods(self, t, k, count, data):
+        if t - k < 1:
+            return
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        series = ProcessSeries(values=rng.normal(size=(3, t + count - 2 + data.draw(st.integers(1, 3)))),
+                               variable_labels=("a", "b", "c"))
+        stack = slice_window(series, t, k, count)
+        assert stack.flags.c_contiguous and not np.shares_memory(stack, series.values)
+        assert stack.shape == ((k, 3) if count == 1 else (count, k, 3))
+        for i, window in enumerate(stack if count > 1 else [stack]):
+            assert np.array_equal(window, slice_window(series, t + i, k))
+
+    def test_stack_past_history_is_out_of_range(self, counting_series):
+        # periods 4 and 5 have windows, period 7 would need period 6
+        slice_window(counting_series, t=5, k=2, count=2)
+        with pytest.raises(WindowOutOfRange, match="need periods 3..6, not all inside"):
+            slice_window(counting_series, t=5, k=2, count=3)
+
+    def test_empty_stack_is_out_of_range(self, counting_series):
+        with pytest.raises(WindowOutOfRange):
+            slice_window(counting_series, t=4, k=2, count=0)
