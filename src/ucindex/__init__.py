@@ -22,8 +22,6 @@ from .errors import (
     BadWindow,
     ConfigMismatch,
     DimensionMismatch,
-    DuplicateId,
-    GapInIds,
     InvalidScenario,
     NegativeIndicator,
     NonBinaryEntry,
@@ -44,7 +42,7 @@ from .indicator import (
     ingest_precomputed,
     scalar_per_period,
 )
-from .io_formats import default_catalog, load_mode_fixture, read_series_csv
+from .io_formats import load_mode_fixture, read_series_csv
 from .process_model import ProcessSeries
 from .report import emit_report
 from .scenario import generate_series, reference_scenario
@@ -57,7 +55,6 @@ __all__ = [
     "ResourceBudget",
     "DerivationRule",
     "check_budget",
-    "default_catalog",
     "derive_mode_series",
     "WindowConfig",
     "gram_matrix",
@@ -86,6 +83,4 @@ __all__ = [
     "NonMonotonicTime",
     "RaggedRow",
     "NonBinaryEntry",
-    "DuplicateId",
-    "GapInIds",
 ]

@@ -1,9 +1,7 @@
-"""Universal-competencies catalog, compliance mapping, and resource budget.
+"""Universal-competencies compliance mapping and resource budget.
 
-A competency catalog lists m competency descriptions (the shipped default
-carries the 32-item Council of Europe cross-disciplinary set); it is a file
-format, parsed in ``io_formats`` like every other input. A compliance
-matrix marks with 0/1 which competency applies to which enterprise process.
+A compliance matrix marks with 0/1 which competency applies to which
+enterprise process; its m rows are the competencies, identified by row.
 Activating competency mappings costs money; the budget gate checks that cost
 against an available limit. Finally, the mapping can be projected onto a
 process series to produce the "universal competencies" management-mode series.

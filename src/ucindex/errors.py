@@ -77,10 +77,3 @@ class RaggedRow(ParseError):
 class NonBinaryEntry(ParseError):
     """A compliance-matrix token is not the literal ``0`` or ``1``."""
 
-
-class DuplicateId(ParseError):
-    """A catalog id occurs more than once."""
-
-
-class GapInIds(ParseError):
-    """Catalog ids are not exactly 1..m."""

@@ -212,7 +212,6 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
     return w
 
 
-@_finite
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     """Cross-moment matrix W'W / (k-1) of a k x n lag window, or one per slice of a p x k x n stack.
 

@@ -1,4 +1,4 @@
-"""Flat-file formats: series, compliance, costs and scalar CSV, catalog, scenario JSON, fixture.
+"""Flat-file formats: series, compliance, costs and scalar CSV, scenario JSON, fixture.
 
 All files are UTF-8 with LF line endings and a ``.`` decimal separator
 regardless of locale. Lines starting with ``#`` are metadata comments and
@@ -8,11 +8,10 @@ Writers go through a write-temp-then-rename step so a crash never leaves a
 half-written file behind; ``staged_writes`` extends that to a set of files
 that appear together or not at all.
 
-Every reader decodes its file in ``_reading`` (errors name the file); the
-line formats share ``_data_lines``, and one table parser serves every CSV,
-with line-numbered errors. Values must be finite plain decimals (no ``nan``,
-``inf``, overflow or ``_`` digit grouping), in data cells and the fixture's
-declared totals alike. ``metadata_lines`` writes every ``# key=value`` block.
+Every reader decodes its file in ``_reading`` (errors name the file), and
+one table parser serves every CSV, with errors naming the physical line.
+Values must be finite plain decimals (no ``nan``, ``inf``, overflow or
+``_`` digit grouping), in data cells and the fixture's declared totals alike. ``metadata_lines`` writes every ``# key=value`` block.
 
 Formats:
 
@@ -21,11 +20,11 @@ Formats:
 * ``compliance.csv`` -- header ``competency_id,<p1>,...,<pn>``; one row per
   competency (ids consecutive from 1) of literal ``0``/``1`` tokens.
 * ``costs.csv`` -- header ``competency_id,cost``; one row per competency.
-* ``catalog.tsv`` -- ``id<TAB>description``, ids 1..m in any order.
 * ``scenario.json`` -- flat keys t_max, n, seed, base_level, noise_scale,
   event_effect plus an ``events`` list of {period, kind, role, count}.
 * scalar CSV -- header exactly ``t,basic,universal_competencies``;
-  per-period indicator scalars, as written by the plot-data emitter.
+  per-period indicator scalars, as written by the plot-data emitter, with t
+  consecutive from any first period >= 1.
 """
 
 from __future__ import annotations
@@ -46,8 +45,6 @@ import numpy as np
 from ._version import __version__
 from .competencies import ComplianceMatrix
 from .errors import (
-    DuplicateId,
-    GapInIds,
     NonBinaryEntry,
     NonFiniteValue,
     NonMonotonicTime,
@@ -59,7 +56,6 @@ from .process_model import ProcessSeries
 from .scenario import Scenario, ScenarioEvent
 
 _FIXTURE_RESOURCE = "mode_comparison_57.csv"
-_CATALOG_RESOURCE = "universal_competencies_32.tsv"
 _PLAIN_NUMBERS = "only plain ASCII numbers are allowed, without '_'"
 
 Writer = Callable[[str | Path, str], None]  # write(path, text), as staged_writes yields it
@@ -203,8 +199,8 @@ def _parse_table(
 
     ``columns`` names the value columns exactly; None accepts any nonempty
     list. Keys are integers consecutive from ``first`` (None: from whatever
-    the first row holds). ``cell`` parses one row's value tokens, given the
-    line number for its errors; the parsed cells must be finite.
+    the first row holds, at least 1). ``cell`` parses one row's value tokens,
+    given the line number for its errors; the parsed cells must be finite.
     """
     meta: dict[str, str] = {}
     lines = _data_lines(text, meta)
@@ -229,6 +225,8 @@ def _parse_table(
         except ValueError:
             raise ParseError(f"{key} {parts[0]!r} is not an integer", line=lineno) from None
         if first is None:
+            if k < 1:
+                raise ParseError(f"the first {key} must be >= 1, got {k}", line=lineno)
             first = k
         if k != first + rows:
             raise (NonMonotonicTime if key == "t" else ParseError)(
@@ -307,56 +305,12 @@ def read_costs_csv(path: str | Path) -> tuple[float, ...]:
         return tuple(_parse_table(text, "competency_id", ("cost",)).cells[:, 0].tolist())
 
 
-def parse_catalog(text: str) -> tuple[str, ...]:
-    """Parse a competency catalog; entry i-1 of the result describes competency i.
-
-    Format: one ``id<TAB>description`` entry per line, ids contiguous from 1
-    in any order, descriptions nonempty. Blank lines and lines starting with
-    ``#`` are skipped.
-
-    Raises
-    ------
-    ParseError
-        Malformed line (wrong field count, non-integer id, empty description).
-    DuplicateId, GapInIds
-        Ids are not exactly 1..m.
-    """
-    entries: dict[int, str] = {}
-    for lineno, raw in _data_lines(text):
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise ParseError(
-                f"expected 'id<TAB>description', got {len(parts)} field(s)", line=lineno
-            )
-        id_token, description = parts
-        try:
-            cid = int(id_token)
-        except ValueError:
-            raise ParseError(f"competency id {id_token!r} is not an integer", line=lineno)
-        if not description.strip():
-            raise ParseError("empty description", line=lineno)
-        if cid in entries:
-            raise DuplicateId(f"competency id {cid} occurs more than once", line=lineno)
-        entries[cid] = description.strip()
-    if not entries:
-        raise ParseError("catalog document contains no entries")
-    ids = sorted(entries)
-    if ids != list(range(1, len(ids) + 1)):
-        raise GapInIds(f"ids must be exactly 1..{len(ids)}, got {ids}")
-    return tuple(entries[i] for i in ids)
-
-
-def default_catalog() -> tuple[str, ...]:
-    """The shipped 32-entry universal-competencies catalog, as descriptions in id order."""
-    with _reading(importlib.resources.files("ucindex") / "data" / _CATALOG_RESOURCE) as text:
-        return parse_catalog(text)
-
-
 def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     """Read per-period scalar pairs (header exactly ``t,basic,universal_competencies``).
 
     Returns the first period and the two scalar columns. Periods must be
-    consecutive; they need not start at 1 (reports may begin after warmup).
+    consecutive from a first period >= 1, not necessarily 1 (reports may
+    begin after warmup).
     """
     with _reading(path) as text:
         table = _parse_table(text, "t", ("basic", "universal_competencies"), first=None)

@@ -413,12 +413,15 @@ SPIKED_SERIES = "t,a,b,c\n" + "".join(
          "ParseError: {input}: no numeric '# declared_total_...=' comment: only plain ASCII"),
         ("indicator --window 2 --label x\n1,2,3", b"t,a\n1,1\n2,2\n3,3\n",
          "ParseError: metadata mode='x\\n1,2,3' contains a line break"),
+        ("report", SCALAR_HEADER.encode() + b"0,1,1\n1,1,1\n",
+         "ParseError: {input}: line 2: the first t must be >= 1, got 0"),
     ],
     ids=["non-utf8", "digit-grouping", "nan", "inf", "overflow", "minus-inf",
          "extra-scalar-column", "wrong-scalar-name", "swapped-scalar-columns",
          "total-overflow", "kernel-overflow", "kernel-overflow-standardized",
          "bad-token-names-file", "duplicate-label-names-file", "fixture-total-names-file",
-         "negative-names-period", "fixture-total-digit-grouping", "label-line-break"],
+         "negative-names-period", "fixture-total-digit-grouping", "label-line-break",
+         "first-period-below-one"],
 )
 def test_malformed_input_is_one_error_line(tmp_path, capsys, command, content, message):
     path = tmp_path / "input.csv"

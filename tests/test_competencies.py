@@ -8,50 +8,12 @@ from ucindex import (
     ComplianceMatrix,
     DerivationRule,
     DimensionMismatch,
-    DuplicateId,
-    GapInIds,
     NonBinaryEntry,
-    ParseError,
     ProcessSeries,
     ResourceBudget,
     check_budget,
-    default_catalog,
     derive_mode_series,
 )
-from ucindex.io_formats import parse_catalog
-
-
-class TestCatalog:
-    def test_shipped_catalog_has_32_entries(self):
-        catalog = default_catalog()
-        assert len(catalog) == 32
-        assert catalog[10 - 1] == "focus on the consumer"
-        assert catalog[0].startswith("operate with legal regulations")
-        assert catalog[32 - 1] == "create your own positive image"
-
-    def test_single_entry(self):
-        assert parse_catalog("1\tdo the one thing\n") == ("do the one thing",)
-
-    def test_gap_in_ids(self):
-        with pytest.raises(GapInIds):
-            parse_catalog("1\tfirst\n3\tthird\n")
-
-    def test_ids_not_starting_at_one(self):
-        with pytest.raises(GapInIds):
-            parse_catalog("2\tsecond\n3\tthird\n")
-
-    def test_duplicate_id(self):
-        with pytest.raises(DuplicateId):
-            parse_catalog("1\tfirst\n1\tagain\n")
-
-    def test_malformed_line_reports_number(self):
-        with pytest.raises(ParseError) as excinfo:
-            parse_catalog("1\tfirst\nnot-an-entry\n")
-        assert excinfo.value.line == 2
-
-    def test_comments_and_blanks_skipped(self):
-        catalog = parse_catalog("# header\n\n1\tfirst\n2\tsecond\n")
-        assert catalog == ("first", "second")
 
 
 class TestComplianceMatrix:

@@ -87,6 +87,11 @@ class TestSeriesCsv:
         series = read_series_csv(path)
         assert series.values[0, 0] == 1.5
 
+    def test_blank_and_comment_lines_between_rows_skipped(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# x=1\n\nt,a\n1,1.5\n\n# y=2\n  \n2,2.5\n", encoding="utf-8")
+        assert read_series_csv(path).values.tolist() == [[1.5, 2.5]]
+
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_round_trip_is_exact(self, data, tmp_path_factory):
@@ -324,18 +329,20 @@ class TestModeFixture:
     "read, content, line",
     [
         (read_series_csv, b"t,a\n1,1\n3,2\n", 3),
+        (read_series_csv, b"t,a\n1,1\n\n# x=1\n2,soup\n", 5),
         (read_series_csv, b"t,a\n1,\xff\n", None),
         (read_series_csv, b"t,a,a\n1,1,2\n", None),
         (read_compliance_csv, b"competency_id,p1\n1,2\n", 2),
         (read_costs_csv, b"competency_id,cost\n", None),
         (read_scalar_csv, b"t,basic\n1,1\n", 1),
+        (read_scalar_csv, b"t,basic,universal_competencies\n-3,1,1\n", 2),
         (load_mode_fixture, b"t,basic,universal_competencies,delta\n1,1,1,0\n", None),
         (read_scenario_json, b'{"t_max": 2, "n": 1, "seed": 0}', None),
         (read_scenario_json, b'{"t_max": 5, "n": 1, "seed": 0, "events": [{}]}', None),
     ],
-    ids=["series-gap", "series-not-utf8", "series-duplicate-label", "compliance-entry",
-         "costs-no-rows", "scalar-header", "fixture-no-totals", "scenario-constraint",
-         "scenario-event-keys"],
+    ids=["series-gap", "series-physical-line", "series-not-utf8", "series-duplicate-label",
+         "compliance-entry", "costs-no-rows", "scalar-header", "scalar-first-period",
+         "fixture-no-totals", "scenario-constraint", "scenario-event-keys"],
 )
 def test_reader_errors_name_the_file_once(tmp_path, read, content, line):
     path = tmp_path / "input"
