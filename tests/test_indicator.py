@@ -157,6 +157,22 @@ class TestGramMatrix:
         with pytest.raises(NonFiniteValue, match="overflow"):
             gram_matrix(np.array([[1e200, 1e200], [1e200, -1e200], [1.0, 1.0]]), 3)
 
+    def test_one_variable_overflow_is_non_finite_value(self):
+        # n = 1 takes the zero-column path; the overflow check still sees the entry
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            gram_matrix(np.array([[1e200], [1.0]]), 2)
+
+    def test_overflow_in_one_slice_of_a_stack_is_non_finite_value(self):
+        stack = np.ones((3, 2, 2))
+        stack[1, 0, 0] = 1e200
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            gram_matrix(stack, 2)
+
+    def test_overflow_is_non_finite_value_under_a_raising_errstate(self):
+        # the explicit finiteness check, not the caller's errstate, reports the overflow
+        with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
+            gram_matrix(np.array([[1e200, 1.0], [1.0, 1.0]]), 2)
+
 
 class TestBruteForceOracle:
     def test_same_hand_computed_value(self):

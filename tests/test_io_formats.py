@@ -75,6 +75,12 @@ class TestSeriesCsv:
         with pytest.raises(NonFiniteValue):
             read_series_csv(path)
 
+    def test_nan_after_skipped_lines_names_its_physical_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("# x=1\nt,a\n1,1\n\n2,inf\n", encoding="utf-8")
+        with pytest.raises(NonFiniteValue, match="line 5: value 'inf'"):
+            read_series_csv(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("x,a\n1,1.0\n", encoding="utf-8")
@@ -236,6 +242,15 @@ class TestScalarCsv:
         with pytest.raises(NonMonotonicTime):
             read_scalar_csv(path)
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "# mode=x\n\nt,basic,universal_competencies\n# y=2\n13,1,2\n\n14,3,4\n",
+            encoding="utf-8",
+        )
+        first, basic, competency = read_scalar_csv(path)
+        assert (first, basic.tolist(), competency.tolist()) == (13, [1.0, 3.0], [2.0, 4.0])
+
 
 class TestScenarioJson:
     def test_round_trip(self, tmp_path):
@@ -333,16 +348,21 @@ class TestModeFixture:
         (read_series_csv, b"t,a\n1,\xff\n", None),
         (read_series_csv, b"t,a,a\n1,1,2\n", None),
         (read_compliance_csv, b"competency_id,p1\n1,2\n", 2),
+        (read_compliance_csv, b"# x=1\ncompetency_id,p1\n\n1,1\n2,0.5\n", 5),
         (read_costs_csv, b"competency_id,cost\n", None),
+        (read_costs_csv, b"competency_id,cost\n# c\n1,1\n\n2,x\n", 5),
         (read_scalar_csv, b"t,basic\n1,1\n", 1),
         (read_scalar_csv, b"t,basic,universal_competencies\n-3,1,1\n", 2),
+        (read_scalar_csv, b"t,basic,universal_competencies\n\n# a=1\n0,1,1\n", 4),
         (load_mode_fixture, b"t,basic,universal_competencies,delta\n1,1,1,0\n", None),
         (read_scenario_json, b'{"t_max": 2, "n": 1, "seed": 0}', None),
         (read_scenario_json, b'{"t_max": 5, "n": 1, "seed": 0, "events": [{}]}', None),
     ],
     ids=["series-gap", "series-physical-line", "series-not-utf8", "series-duplicate-label",
-         "compliance-entry", "costs-no-rows", "scalar-header", "scalar-first-period",
-         "fixture-no-totals", "scenario-constraint", "scenario-event-keys"],
+         "compliance-entry", "compliance-physical-line", "costs-no-rows",
+         "costs-physical-line", "scalar-header", "scalar-first-period",
+         "scalar-physical-line", "fixture-no-totals", "scenario-constraint",
+         "scenario-event-keys"],
 )
 def test_reader_errors_name_the_file_once(tmp_path, read, content, line):
     path = tmp_path / "input"
