@@ -15,7 +15,10 @@ implementation, not to this module; the strict kernel tests pin it with
 ``np.array_equal`` against the oracle, so a numpy that changes it fails the
 tests instead of shifting results silently. Every slice of a p x k x n stack
 of windows gets the same order (the stacked strict tests pin it as well), so
-a period's values do not depend on the chunk it was computed in. R is
+a period's values do not depend on the chunk it was computed in, nor an
+entry on the row block it was filled in. One byte cap, ``CHUNK_BYTES``,
+bounds both the chunks of periods and the row blocks in which
+:func:`gram_matrix` and :func:`row_indicator` fill and sum each matrix. R is
 therefore symmetric bit for bit with no mirroring step: IEEE multiplication
 commutes exactly (x_i*x_j == x_j*x_i), and the products for (i, j) and
 (j, i) are added in the same order.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import fsum
+from math import fsum, prod
 
 import numpy as np
 
@@ -53,9 +56,10 @@ INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n): a chunk
-# holds p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods, 227 at n = 24, k = 12, and
-# one from n = 257 on. A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on one row
+# block of a larger Gram matrix: a chunk holds p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods
+# (227 at n = 24, k = 12; one from n = 257 on), a block max(1, CHUNK_BYTES // (8 n)) rows of a
+# matrix (131 at n = 1000). A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -215,10 +219,13 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     """Cross-moment matrix W'W / (k-1) of a k x n lag window, or one per slice of a p x k x n stack.
 
-    One ``np.einsum`` over the window in C order (no BLAS, no ``optimize``
-    path) adds each entry's k products in ascending lag order, the order of
-    the oracle's loop (see the module's determinism contract); numpy loops in
-    another order over a Fortran-ordered or strided window. A
+    The result is filled a block of rows at a time (the same rows of every
+    slice, within ``CHUNK_BYTES``), and each block is checked and scaled while
+    it is still in cache. One ``np.einsum`` per block, of a C-ordered copy of
+    the block's columns against the window in C order (no BLAS, no
+    ``optimize`` path), adds each entry's k products in ascending lag order,
+    the order of the oracle's loop (see the module's determinism contract);
+    numpy loops in another order over a Fortran-ordered or strided window. A
     one-variable window gets a zero column appended first: at n = 1 numpy
     would reduce the lag axis with an unrolled, reordered dot product.
 
@@ -233,11 +240,17 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     n = w.shape[-1]
     if n == 1:
         w = np.concatenate((w, np.zeros_like(w)), axis=-1)
-    g = np.einsum("...li,...lj->...ij", w, w, optimize=False)[..., :n, :n]
-    if not np.isfinite(g).all():  # einsum's inner loops do not report to np.errstate
-        raise NonFiniteValue("overflow encountered")
-    g /= k - 1
-    return g
+    g = np.empty(w.shape[:-2] + (n, w.shape[-1]))
+    step = max(1, CHUNK_BYTES // max(1, g[..., :1, :].nbytes))  # rows per block
+    for r in range(0, n, step):
+        rows = slice(r, min(r + step, n))
+        block = g[..., rows, :]
+        np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., rows]), w,
+                  optimize=False, out=block)
+        if not np.isfinite(block).all():  # einsum's inner loops do not report to np.errstate
+            raise NonFiniteValue("overflow encountered")
+        block /= k - 1
+    return g[..., :n]
 
 
 def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
@@ -276,8 +289,18 @@ def standardize_window(window: np.ndarray) -> np.ndarray:
 
 @_finite
 def row_indicator(matrix: np.ndarray) -> np.ndarray:
-    """Per-variable indicator: sum of absolute values along each row (of each matrix of a stack)."""
-    return np.abs(np.asarray(matrix, dtype=float)).sum(axis=-1)
+    """Per-variable indicator: sum of absolute values along each row (of each matrix of a stack).
+
+    Rows are summed in C order, a block within ``CHUNK_BYTES`` at a time, so a
+    row's sum depends on neither its neighbours nor the memory layout.
+    """
+    m = np.ascontiguousarray(matrix, dtype=float)
+    rows = m.reshape(prod(m.shape[:-1]), m.shape[-1])
+    sums = np.empty(len(rows))
+    step = max(1, CHUNK_BYTES // max(1, rows[:1].nbytes))
+    for r in range(0, len(rows), step):
+        np.abs(rows[r : r + step]).sum(axis=-1, out=sums[r : r + step])
+    return sums.reshape(m.shape[:-1])
 
 
 def indicator_series(

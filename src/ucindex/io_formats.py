@@ -237,7 +237,7 @@ def _parse_table(
         rows += 1
     if not rows:
         raise ParseError("no data rows")
-    cells = np.array(flat, dtype=float).reshape(rows, width - 1)
+    cells = np.frombuffer(flat, dtype=float).reshape(rows, width - 1)  # a view: no second copy
     finite = np.isfinite(cells)
     if not finite.all():
         row, col = divmod(int(np.argmin(finite)), width - 1)

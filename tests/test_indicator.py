@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import fsum
 
@@ -168,6 +169,13 @@ class TestGramMatrix:
         with pytest.raises(NonFiniteValue, match="overflow"):
             gram_matrix(stack, 2)
 
+    def test_overflow_in_the_last_row_block_is_non_finite_value(self, monkeypatch):
+        cap_rows(monkeypatch, 3, 8 * 40)  # rows 39..39 form the last of 14 blocks
+        window = np.ones((2, 40))
+        window[0, 39] = 1e200  # overflows entry (39, 39) alone
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            gram_matrix(window, 2)
+
     def test_overflow_is_non_finite_value_under_a_raising_errstate(self):
         # the explicit finiteness check, not the caller's errstate, reports the overflow
         with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
@@ -270,6 +278,44 @@ def test_oracle_rejects_a_stack():
         gram_matrix_bruteforce(stack, k)
 
 
+def cap_rows(monkeypatch, rows: int, row_bytes: int) -> None:
+    """Shrink the kernel's byte cap to ``rows`` rows of ``row_bytes`` bytes each."""
+    monkeypatch.setattr(indicator, "CHUNK_BYTES", rows * row_bytes)
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_row_blocks_are_bit_identical_to_the_oracle(monkeypatch, n):
+    # three rows a block: several blocks from n = 4 on, the last one ragged unless 3 divides n
+    cap_rows(monkeypatch, 3, 8 * n)
+    rng = np.random.default_rng(n)
+    base = rng.uniform(-10, 10, size=(12, n))
+    spiked = base.copy()
+    spiked[4, n - 1] *= 1e6
+    signs = np.where(rng.random((12, n)) < 0.5, -1.0, 1.0)
+    windows = {
+        "c-order": base,
+        "fortran-order": np.asfortranarray(base),
+        "strided": np.repeat(base, 2, axis=-1)[:, ::2],
+        "spike": spiked,
+        "cancellation": signs * 1e8 + rng.uniform(-1, 1, size=(12, n)),
+    }
+    for name, window in windows.items():
+        gram = gram_matrix(window, 12)
+        assert np.array_equal(gram, gram_matrix_bruteforce(window, 12)), name
+        assert np.array_equal(row_indicator(gram), np.abs(gram).sum(axis=-1)), name
+    stack = np.stack([gram_matrix(window, 12) for window in windows.values()])
+    assert np.array_equal(row_indicator(stack), np.abs(stack).sum(axis=-1))
+
+
+@pytest.mark.parametrize("name", STRICT_STACKS)
+def test_row_blocks_of_a_stack_are_bit_identical_to_the_oracle(monkeypatch, name):
+    stack, k = STRICT_STACKS[name]
+    cap_rows(monkeypatch, 3, 8 * len(stack) * stack.shape[-1])  # three rows of every slice
+    grams = gram_matrix(stack, k)
+    for i, window in enumerate(stack):
+        assert np.array_equal(grams[i], gram_matrix_bruteforce(window, k))
+
+
 class TestRowIndicator:
     def test_identity_matrix(self):
         assert row_indicator(np.eye(4)).tolist() == [1.0, 1.0, 1.0, 1.0]
@@ -284,6 +330,39 @@ class TestRowIndicator:
     def test_overflow_is_non_finite_value(self):
         with pytest.raises(NonFiniteValue, match="overflow"):
             row_indicator(np.full((2, 2), 1e308))
+
+    @pytest.mark.parametrize("shape", [(40, 40), (3, 40, 40)], ids=["matrix", "stack"])
+    def test_overflow_in_a_later_row_block_is_non_finite_value(self, monkeypatch, shape):
+        cap_rows(monkeypatch, 3, 8 * 40)
+        matrix = np.ones(shape)
+        assert np.array_equal(row_indicator(matrix), np.full(shape[:-1], 40.0))
+        matrix[..., 39, :2] = 1e308  # finite entries whose row sum overflows, in the last block
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            row_indicator(matrix)
+
+    @pytest.mark.parametrize("shape", [(40, 40), (5, 24, 24)], ids=["matrix", "stack"])
+    def test_sums_do_not_depend_on_memory_layout(self, shape):
+        rng = np.random.default_rng(3)
+        matrix = rng.uniform(-10, 10, size=shape) * np.where(rng.random(shape) < 0.05, 1e6, 1.0)
+        expected = np.abs(matrix).sum(axis=-1)
+        for layout in (np.asfortranarray(matrix), np.repeat(matrix, 2, axis=-1)[..., ::2]):
+            assert np.array_equal(row_indicator(layout), expected)
+
+    def test_memory_stays_within_one_row_block(self):
+        # at n = 1000 a second n x n temporary would be 8 MB; one block is at most 1 MiB
+        window = np.random.default_rng(5).uniform(1, 10, size=(12, 1000))
+        gram = gram_matrix(window, 12)
+        tracemalloc.start()
+        try:
+            row_indicator(gram)
+            _, rows_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            row_indicator(gram_matrix(window, 12))
+            _, both_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows_peak < 2 * 2**20
+        assert both_peak < gram.nbytes + 2 * 2**20
 
 
 class TestStandardizeWindow:
@@ -382,6 +461,13 @@ class TestIndicatorSeries:
             config = WindowConfig(k=3, standardize=standardize)
             with pytest.raises(NonFiniteValue, match="spiked, period 7: overflow"):
                 indicator_series(labelled(values), config, "spiked")
+
+    def test_overflow_in_the_last_row_block_names_the_period(self, monkeypatch):
+        cap_rows(monkeypatch, 3, 8 * 40)  # one period a chunk, 14 row blocks a Gram matrix
+        values = np.random.default_rng(8).uniform(1, 10, size=(40, 12))
+        values[39, 5] = 1e200  # variable 40 at period 6: only entry (39, 39) overflows
+        with pytest.raises(NonFiniteValue, match="^spiked, period 7: overflow"):
+            indicator_series(labelled(values), WindowConfig(k=3), "spiked")
 
     def test_opposite_sign_overflow_names_label_and_period(self):
         # the window of period 4 is [[1e200, 1e200], [1e200, -1e200], [1, 1]]

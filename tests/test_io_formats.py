@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ucindex import (
     read_series_csv,
 )
 from ucindex.io_formats import (
+    _parse_table,
     atomic_write_text,
     metadata_lines,
     read_compliance_csv,
@@ -42,6 +44,21 @@ class TestSeriesCsv:
         assert (series.n, series.t_max) == (3, 5)
         assert series.variable_labels == ("a", "b", "c")
         assert series.values[2, 1] == 6.0
+
+    def test_parse_holds_the_values_once(self):
+        # single-digit cells keep the text's lines small next to the 8-byte values, so a second
+        # copy of the values (an array made from the parsed cells) would set the parse's peak
+        n, t_max = 200, 500
+        text = "t," + ",".join(f"v{i}" for i in range(n)) + "\n" + "".join(
+            f"{t}," + ",".join(["7"] * n) + "\n" for t in range(1, t_max + 1))
+        tracemalloc.start()
+        try:
+            cells = _parse_table(text, "t").cells
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cells.shape == (t_max, n) and (cells == 7.0).all()
+        assert peak < 1.75 * cells.nbytes
 
     def test_non_monotonic_time(self, tmp_path):
         path = tmp_path / "s.csv"
