@@ -7,21 +7,18 @@ and j over the window. The per-variable indicator at t is the sum of
 absolute values along row i of R, and the integral indicator of a whole run
 is the sum of those values over every defined period and variable.
 
-Determinism contract: :func:`gram_matrix` adds the k products of each entry
-in ascending lag order, with no BLAS call, so its result is bit-identical to
-the defining loop in :func:`gram_matrix_bruteforce` and never depends on a
-blocking or threading choice. That order belongs to numpy's ``einsum``
-implementation, not to this module; the strict kernel tests pin it with
-``np.array_equal`` against the oracle, so a numpy that changes it fails the
-tests instead of shifting results silently. Every slice of a p x k x n stack
-of windows gets the same order (the stacked strict tests pin it as well), so
-a period's values do not depend on the chunk it was computed in, nor an
-entry on the row block it was filled in. One byte cap, ``CHUNK_BYTES``,
-bounds both the chunks of periods and the row blocks in which
-:func:`gram_matrix` and :func:`row_indicator` fill and sum each matrix. R is
-therefore symmetric bit for bit with no mirroring step: IEEE multiplication
-commutes exactly (x_i*x_j == x_j*x_i), and the products for (i, j) and
-(j, i) are added in the same order.
+Determinism contract: the Gram kernel forms each entry with one ``np.einsum``
+of C-ordered operands (no BLAS, no ``optimize`` path), which adds its k
+products in ascending lag order, so R is bit-identical to the defining loop
+in :func:`gram_matrix_bruteforce`, and symmetric with no mirroring step (IEEE
+multiplication commutes, and the products for (i, j) and (j, i) are added in
+the same order). That order belongs to numpy's ``einsum``; the strict tests
+pin it with ``np.array_equal``, for single windows, stacks and row blocks, so
+a numpy that changes it fails the tests instead of shifting results. A
+period's values thus depend neither on the chunk of periods it was computed
+in nor on the row blocks of R, both bounded by one byte cap, ``CHUNK_BYTES``.
+:func:`window_indicator` sums each block while it is in cache, so the
+indicator path holds one block, never the n x n matrix.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -39,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -56,10 +54,11 @@ INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on one row
-# block of a larger Gram matrix: a chunk holds p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods
-# (227 at n = 24, k = 12; one from n = 257 on), a block max(1, CHUNK_BYTES // (8 n)) rows of a
-# matrix (131 at n = 1000). A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on the one row
+# block of a larger Gram matrix that the indicator path holds, never the n x n matrix: a chunk has
+# p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from n = 257 on),
+# a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000). A 4 MiB cap (the L2 size) raised
+# ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -216,18 +215,30 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
     return w
 
 
+def _gram_rows(window: np.ndarray, k: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """Check a window (or stack) and yield ``(rows, block)``: those rows of W'W / (k-1), per slice.
+
+    A block is a view of one buffer within ``CHUNK_BYTES``, valid until the next, and may hold
+    NaN or inf (einsum does not report overflow to np.errstate). C-ordered operands and a zero
+    column appended at n = 1 keep the contract's order: numpy reorders the sums otherwise.
+    """
+    w = np.ascontiguousarray(_checked_window(window, k, (2, 3)))
+    n = w.shape[-1]
+    if n == 1:
+        w = np.concatenate((w, np.zeros_like(w)), axis=-1)
+    step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
+    buffer = np.empty(w.shape[:-2] + (min(step, n), w.shape[-1]))
+    for r in range(0, max(n, 1), step):  # n = 0 yields one empty block
+        rows = slice(r, min(r + step, n))
+        block = buffer[..., : rows.stop - r, :]
+        np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., rows]), w,
+                  optimize=False, out=block)
+        block /= k - 1
+        yield rows, block[..., :n]
+
+
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     """Cross-moment matrix W'W / (k-1) of a k x n lag window, or one per slice of a p x k x n stack.
-
-    The result is filled a block of rows at a time (the same rows of every
-    slice, within ``CHUNK_BYTES``), and each block is checked and scaled while
-    it is still in cache. One ``np.einsum`` per block, of a C-ordered copy of
-    the block's columns against the window in C order (no BLAS, no
-    ``optimize`` path), adds each entry's k products in ascending lag order,
-    the order of the oracle's loop (see the module's determinism contract);
-    numpy loops in another order over a Fortran-ordered or strided window. A
-    one-variable window gets a zero column appended first: at n = 1 numpy
-    would reduce the lag axis with an unrolled, reordered dot product.
 
     Raises
     ------
@@ -236,21 +247,26 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    w = np.ascontiguousarray(_checked_window(window, k, (2, 3)))
-    n = w.shape[-1]
-    if n == 1:
-        w = np.concatenate((w, np.zeros_like(w)), axis=-1)
-    g = np.empty(w.shape[:-2] + (n, w.shape[-1]))
-    step = max(1, CHUNK_BYTES // max(1, g[..., :1, :].nbytes))  # rows per block
-    for r in range(0, n, step):
-        rows = slice(r, min(r + step, n))
-        block = g[..., rows, :]
-        np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., rows]), w,
-                  optimize=False, out=block)
-        if not np.isfinite(block).all():  # einsum's inner loops do not report to np.errstate
+    g = None
+    for rows, block in _gram_rows(window, k):
+        if not np.isfinite(block).all():
             raise NonFiniteValue("overflow encountered")
-        block /= k - 1
-    return g[..., :n]
+        if g is None:
+            g = np.empty(block.shape[:-2] + 2 * block.shape[-1:])
+        g[..., rows, :] = block
+    return g
+
+
+def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
+    """``row_indicator(gram_matrix(window, k))``, bit for bit, from row blocks: no n x n matrix.
+
+    Raises as :func:`gram_matrix`. A NaN or infinite entry makes its row's sum
+    non-finite, so one check of the sums catches every overflow.
+    """
+    sums = np.concatenate([row_indicator(block) for _, block in _gram_rows(window, k)], axis=-1)
+    if not np.isfinite(sums).all():
+        raise NonFiniteValue("overflow encountered")
+    return sums
 
 
 def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
@@ -311,10 +327,9 @@ def indicator_series(
     """Run the full per-period indicator computation over a process series.
 
     For every period with a complete lag window (or a shrunken one of at
-    least two lags, under ``Warmup.SHRINK``) this slices the window, forms
-    the Gram-correlation matrix, and takes the per-variable row sums of
-    absolute values: full windows a chunk of consecutive periods at a time,
-    one stacked call per step (see ``CHUNK_BYTES``), shrunken ones singly.
+    least two lags, under ``Warmup.SHRINK``) this slices the window and takes
+    its :func:`window_indicator`: full windows a chunk of consecutive periods
+    at a time, one stacked call per step (see ``CHUNK_BYTES``), shrunken ones singly.
 
     Raises
     ------
@@ -340,7 +355,7 @@ def indicator_series(
             window = slice_window(series, t, k, count)
             if config.standardize:
                 window = standardize_window(window)
-            rows[t - ts.start : t - ts.start + count] = row_indicator(gram_matrix(window, k))
+            rows[t - ts.start : t - ts.start + count] = window_indicator(window, k)
             t += count
         except NonFiniteValue as exc:
             if count == 1:

@@ -31,6 +31,7 @@ from ucindex.indicator import (
     Warmup,
     row_indicator,
     standardize_window,
+    window_indicator,
 )
 from ucindex.process_model import slice_window
 
@@ -71,7 +72,7 @@ def brute_force_total(series: ProcessSeries, k: int) -> float:
     return total
 
 
-KERNEL = ("slice_window", "standardize_window", "gram_matrix", "row_indicator")
+KERNEL = ("slice_window", "standardize_window", "window_indicator")
 
 
 def record_kernel_calls(monkeypatch) -> list[tuple[str, range]]:
@@ -84,7 +85,7 @@ def record_kernel_calls(monkeypatch) -> list[tuple[str, range]]:
     """
     log: list[tuple[str, range]] = []
     covered: dict[int, range] = {}
-    result_ndim = {"slice_window": 2, "standardize_window": 2, "gram_matrix": 2, "row_indicator": 1}
+    result_ndim = {"slice_window": 2, "standardize_window": 2, "window_indicator": 1}
 
     def recording(name, function):
         def recorded(*args):
@@ -314,6 +315,97 @@ def test_row_blocks_of_a_stack_are_bit_identical_to_the_oracle(monkeypatch, name
     grams = gram_matrix(stack, k)
     for i, window in enumerate(stack):
         assert np.array_equal(grams[i], gram_matrix_bruteforce(window, k))
+
+
+def row_block_windows(n: int) -> dict[str, np.ndarray]:
+    """12-lag windows of n variables by layout and content: a spike and cancelling sums."""
+    rng = np.random.default_rng(n)
+    base = rng.uniform(-10, 10, size=(12, n))
+    spiked = base.copy()
+    spiked[4, n - 1] *= 1e6
+    signs = np.where(rng.random((12, n)) < 0.5, -1.0, 1.0)
+    return {
+        "c-order": base,
+        "fortran-order": np.asfortranarray(base),
+        "strided": np.repeat(base, 2, axis=-1)[:, ::2],
+        "spike": spiked,
+        "cancellation": signs * 1e8 + rng.uniform(-1, 1, size=(12, n)),
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_window_indicator_row_blocks_are_bit_identical(monkeypatch, n):
+    cap_rows(monkeypatch, 3, 8 * n)  # several blocks from n = 4 on, the last one ragged
+    windows = row_block_windows(n)
+    for name, window in windows.items():
+        expected = row_indicator(gram_matrix(window, 12))
+        assert np.array_equal(window_indicator(window, 12), expected), name
+    stack = np.stack(list(windows.values()))
+    cap_rows(monkeypatch, 3, 8 * len(stack) * n)  # three rows of every slice
+    assert np.array_equal(window_indicator(stack, 12), row_indicator(gram_matrix(stack, 12)))
+
+
+@pytest.mark.parametrize("name", STRICT_STACKS)
+def test_window_indicator_of_a_stack_is_bit_identical(monkeypatch, name):
+    stack, k = STRICT_STACKS[name]
+    expected = row_indicator(gram_matrix(stack, k))
+    assert np.array_equal(window_indicator(stack, k), expected)
+    for i, window in enumerate(stack):
+        assert np.array_equal(window_indicator(window, k), expected[i])
+    cap_rows(monkeypatch, 3, 8 * len(stack) * stack.shape[-1])
+    assert np.array_equal(window_indicator(stack, k), expected)
+
+
+def late_overflow(kind: str) -> np.ndarray:
+    """A 2 x 40 window (k = 2) of ones whose Gram rows 38 and 39 overflow as ``kind`` says."""
+    window = np.ones((2, 40))
+    if kind == "same-sign":
+        window[0, 39] = 1e200  # entry (39, 39) is +inf
+    elif kind == "inf-minus-inf":
+        window[:, 38:] = [[1e200, 1e200], [1e200, -1e200]]  # entry (38, 39) is inf - inf = NaN
+    else:  # "row-sum": every entry is finite, rows 38 and 39 sum to about 2.9e308
+        window[0, 38:] = 1.2e154
+    return window
+
+
+OVERFLOWS = ("same-sign", "inf-minus-inf", "row-sum")
+
+
+class TestWindowIndicator:
+    @pytest.mark.parametrize("stacked", [False, True], ids=["window", "stack"])
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    def test_overflow_in_a_later_row_block_is_non_finite_value(self, monkeypatch, kind, stacked):
+        window = late_overflow(kind)
+        if stacked:
+            window = np.stack([np.ones((2, 40)), window])
+        cap_rows(monkeypatch, 3, window[..., :1, :].nbytes)  # row 39 forms the last of 14 blocks
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            window_indicator(window, 2)
+
+    def test_overflow_is_non_finite_value_under_a_raising_errstate(self):
+        with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
+            window_indicator(late_overflow("inf-minus-inf"), 2)
+
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    def test_overflow_in_a_later_row_block_names_the_period(self, monkeypatch, kind):
+        cap_rows(monkeypatch, 3, 8 * 40)  # one period a chunk, 14 row blocks a Gram matrix
+        values = np.random.default_rng(8).uniform(1, 10, size=(40, 12))
+        values[:, :2] = late_overflow(kind).T  # periods 1 and 2: the first window under SHRINK
+        config = WindowConfig(k=3, warmup=Warmup.SHRINK)
+        with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
+            indicator_series(labelled(values), config, "spiked")
+
+    def test_indicator_series_holds_no_gram_matrix(self):
+        # at n = 1000 one Gram matrix is 8 MB; the kernel holds one row block of at most 1 MiB
+        series = labelled(np.random.default_rng(5).uniform(1, 10, size=(1000, 16)))
+        tracemalloc.start()
+        try:
+            result = indicator_series(series, WindowConfig(k=12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.values.shape == (4, 1000)
+        assert peak < 3 * 2**20
 
 
 class TestRowIndicator:

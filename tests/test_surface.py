@@ -2,18 +2,25 @@
 
 ``perfbench/traced_cli.py`` wraps the functions named in its ``TRACED`` table
 by module attribute, so deleting or renaming one of them would break the
-benchmark's per-layer trace; this test makes that a test failure instead.
+benchmark's per-layer trace; this test makes that a test failure instead. Its
+``WORK`` table calls some of them with their arguments, so a traced ``compare``
+is run as well: a changed signature makes that run fail.
 """
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ucindex
+from ucindex.io_formats import write_series_csv
 
 TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
 
@@ -36,3 +43,19 @@ def test_traced_functions_exist():
     for layer, name in wanted:
         module = importlib.import_module(f"ucindex.{layer}")
         assert callable(getattr(module, name, None)), f"ucindex.{layer}.{name} is missing"
+
+
+def test_traced_compare_runs_cleanly(tmp_path):
+    rng = np.random.default_rng(3)
+    args = ["compare", "--window", "3", "--format", "csv"]
+    for mode in ("basic", "universal"):
+        path = tmp_path / f"{mode}.csv"
+        write_series_csv(path, ucindex.ProcessSeries(rng.uniform(1, 10, (4, 20)), tuple("abcd")))
+        args += [f"--{mode}", str(path)]
+    spans = tmp_path / "spans.json"
+    src = Path(ucindex.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), "0", str(src), "--", *args],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert {"indicator.indicator_series", "io_formats.read_series_csv"} <= names
