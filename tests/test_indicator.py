@@ -395,6 +395,11 @@ class TestWindowIndicator:
         with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
             indicator_series(labelled(values), config, "spiked")
 
+    def test_a_window_of_no_variables(self):
+        window = np.zeros((3, 0))
+        assert gram_matrix(window, 3).shape == (0, 0)
+        assert window_indicator(window, 3).shape == (0,)
+
     def test_indicator_series_holds_no_gram_matrix(self):
         # at n = 1000 one Gram matrix is 8 MB; the kernel holds one row block of at most 1 MiB
         series = labelled(np.random.default_rng(5).uniform(1, 10, size=(1000, 16)))
