@@ -15,10 +15,9 @@ multiplication commutes, and the products for (i, j) and (j, i) are added in
 the same order). That order belongs to numpy's ``einsum``; the strict tests
 pin it with ``np.array_equal``, for single windows, stacks and row blocks, so
 a numpy that changes it fails the tests instead of shifting results. A
-period's values thus depend neither on the chunk of periods it was computed
-in nor on the row blocks of R, both bounded by one byte cap, ``CHUNK_BYTES``.
-:func:`window_indicator` sums each block while it is in cache, so the
-indicator path holds one block, never the n x n matrix.
+period's values thus depend neither on its chunk of periods nor on the row
+blocks of R, both bounded by one byte cap, ``CHUNK_BYTES``; the indicator
+path (:func:`window_indicator`) holds one block, never the n x n matrix.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -204,8 +203,8 @@ _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
 def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.ndarray:
-    """The window as a float array, once it passes the checks the kernel and its oracle share."""
-    w = np.asarray(window, dtype=float)
+    """The window as C-ordered floats, once it passes the checks the kernel and oracle share."""
+    w = np.ascontiguousarray(window, dtype=float)
     if k < 2:
         raise BadWindow(f"window length must be >= 2, got k={k}")
     if w.ndim not in ndims or w.shape[-2] != k:
@@ -215,22 +214,22 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
     return w
 
 
-def _gram_rows(window: np.ndarray, k: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """Check a window (or stack) and yield ``(rows, block)``: those rows of W'W / (k-1), per slice.
+def _gram_rows(w: np.ndarray, k: int,
+               out: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(rows, block)``: those rows of W'W / (k-1), per slice, for a checked window or stack.
 
-    A block is a view of one buffer within ``CHUNK_BYTES``, valid until the next, and may hold
-    NaN or inf (einsum does not report overflow to np.errstate). C-ordered operands and a zero
-    column appended at n = 1 keep the contract's order: numpy reorders the sums otherwise.
+    A block fills those rows of ``out``, or else one reused buffer within ``CHUNK_BYTES`` (valid
+    until the next), and may hold NaN or inf: einsum does not report overflow to np.errstate.
+    C-ordered operands and a zero column appended at n = 1 keep the contract's summation order.
     """
-    w = np.ascontiguousarray(_checked_window(window, k, (2, 3)))
     n = w.shape[-1]
     if n == 1:
         w = np.concatenate((w, np.zeros_like(w)), axis=-1)
     step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
-    buffer = np.empty(w.shape[:-2] + (min(step, n), w.shape[-1]))
+    buffer = np.empty(w.shape[:-2] + (min(step, n), w.shape[-1])) if out is None else out
     for r in range(0, max(n, 1), step):  # n = 0 yields one empty block
         rows = slice(r, min(r + step, n))
-        block = buffer[..., : rows.stop - r, :]
+        block = buffer[..., rows if out is not None else slice(rows.stop - r), :]
         np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., rows]), w,
                   optimize=False, out=block)
         block /= k - 1
@@ -247,23 +246,29 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    g = None
-    for rows, block in _gram_rows(window, k):
+    w = _checked_window(window, k, (2, 3))
+    n = w.shape[-1]
+    g = np.empty(w.shape[:-2] + (n, n + (n == 1)))  # room for _gram_rows' zero column
+    for _, block in _gram_rows(w, k, g):
         if not np.isfinite(block).all():
             raise NonFiniteValue("overflow encountered")
-        if g is None:
-            g = np.empty(block.shape[:-2] + 2 * block.shape[-1:])
-        g[..., rows, :] = block
-    return g
+    return g[..., :n]
+
+
+_GRAM_MATRIX = gram_matrix
 
 
 def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     """``row_indicator(gram_matrix(window, k))``, bit for bit, from row blocks: no n x n matrix.
 
-    Raises as :func:`gram_matrix`. A NaN or infinite entry makes its row's sum
-    non-finite, so one check of the sums catches every overflow.
+    Raises as :func:`gram_matrix`: a NaN or infinite entry makes its row's sum non-finite, so
+    one check of the sums catches every overflow. A ``gram_matrix`` rebound in this module alone
+    (``perfbench/selftest.py`` swaps in a drifting kernel) is used as given, on its whole matrix.
     """
-    sums = np.concatenate([row_indicator(block) for _, block in _gram_rows(window, k)], axis=-1)
+    if gram_matrix is not _GRAM_MATRIX:
+        return row_indicator(gram_matrix(window, k))
+    blocks = _gram_rows(_checked_window(window, k, (2, 3)), k)
+    sums = np.concatenate([row_indicator(block) for _, block in blocks], axis=-1)
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums

@@ -57,7 +57,6 @@ from .scenario import Scenario, ScenarioEvent
 
 _FIXTURE_RESOURCE = "mode_comparison_57.csv"
 _PLAIN_NUMBERS = "only plain ASCII numbers are allowed, without '_'"
-_PIECE_CHARS = 2**20  # _data_lines' piece: all of a text's lines take about twice its memory
 
 Writer = Callable[[str | Path, str], None]  # write(path, text), as staged_writes yields it
 
@@ -139,19 +138,15 @@ def _data_lines(text: str, meta: dict[str, str] | None = None) -> Iterator[tuple
 
     ``# key=value`` comments are collected into ``meta`` when it is given.
     """
-    lineno = start = 0
-    while start < len(text):
-        end = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)  # after a "\n": a line end
-        for lineno, raw in enumerate(text[start:end].splitlines(), start=lineno + 1):
-            line = raw.strip()
-            if line.startswith("#"):
-                if meta is not None:
-                    key, sep, value = line.lstrip("# ").partition("=")
-                    if sep:
-                        meta[key.strip()] = value.strip()
-            elif line:
-                yield lineno, raw
-        start = end
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            if meta is not None:
+                key, sep, value = line.lstrip("# ").partition("=")
+                if sep:
+                    meta[key.strip()] = value.strip()
+        elif line:
+            yield lineno, raw
 
 
 def _one_line(value: str) -> bool:  # no break that str.splitlines splits at

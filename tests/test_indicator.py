@@ -395,6 +395,13 @@ class TestWindowIndicator:
         with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
             indicator_series(labelled(values), config, "spiked")
 
+    def test_a_rebound_gram_matrix_is_used(self, monkeypatch):
+        # perfbench/selftest.py swaps a drifting kernel in this way and expects the output to move
+        series = labelled(np.random.default_rng(6).uniform(1, 10, size=(5, 30)))
+        expected = indicator_series(series, WindowConfig(k=4)).values
+        monkeypatch.setattr(indicator, "gram_matrix", lambda window, k: 2 * gram_matrix(window, k))
+        assert np.array_equal(indicator_series(series, WindowConfig(k=4)).values, 2 * expected)
+
     def test_a_window_of_no_variables(self):
         window = np.zeros((3, 0))
         assert gram_matrix(window, 3).shape == (0, 0)

@@ -19,9 +19,7 @@ from ucindex import (
     load_mode_fixture,
     read_series_csv,
 )
-import ucindex.io_formats as io_formats
 from ucindex.io_formats import (
-    _data_lines,
     _parse_table,
     atomic_write_text,
     metadata_lines,
@@ -156,48 +154,6 @@ class TestSeriesCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
-
-
-# every line boundary str.splitlines knows, "\r\n" counting as one
-LINE_BREAKS = ("\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-
-
-class TestDataLines:
-    def test_every_piece_size_keeps_splitlines_boundaries_and_line_numbers(self, monkeypatch):
-        text = "# a=1\r\n\r\n" + "".join(f"{i},x{eol}  {eol}# b{i}={i}{eol}"
-                                         for i, eol in enumerate(LINE_BREAKS)) + "last"
-        expected_meta = {"a": "1", **{f"b{i}": str(i) for i in range(len(LINE_BREAKS))}}
-        expected = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1)
-                    if raw.strip() and not raw.strip().startswith("#")]
-        for piece in range(1, len(text) + 2):  # every cut, so each "\r\n" straddles one of them
-            monkeypatch.setattr(io_formats, "_PIECE_CHARS", piece)
-            meta: dict[str, str] = {}
-            assert list(_data_lines(text, meta)) == expected, piece
-            assert meta == expected_meta, piece
-
-    def test_crlf_straddling_a_piece_stays_one_line_break(self, monkeypatch):
-        monkeypatch.setattr(io_formats, "_PIECE_CHARS", 4)  # "t,a\r" | "\n...": the pair straddles
-        lines = _data_lines("t,a\r\n1,1.5\r\n\r\n2,2.5")
-        assert list(lines) == [(1, "t,a"), (2, "1,1.5"), (4, "2,2.5")]
-
-    def test_physical_line_numbers_run_on_across_pieces(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(io_formats, "_PIECE_CHARS", 4)
-        path = tmp_path / "s.csv"
-        path.write_text("t,a\n1,1.5\n\n# x=1\n2,2.5\n3,inf\n", encoding="utf-8")
-        with pytest.raises(NonFiniteValue, match="line 6: value 'inf'"):
-            read_series_csv(path)
-
-    def test_lines_are_split_a_piece_at_a_time(self):
-        # all lines at once would hold about the text's size again, plus 57 bytes a line
-        text = "".join(f"{t}," + ",".join(["1.25"] * 20) + "\n" for t in range(50_000))
-        tracemalloc.start()
-        try:
-            count = sum(1 for _ in _data_lines(text))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert count == 50_000
-        assert peak < 4 * 2**20 < len(text)
 
 
 class TestMetadataLines:

@@ -4,7 +4,9 @@
 by module attribute, so deleting or renaming one of them would break the
 benchmark's per-layer trace; this test makes that a test failure instead. Its
 ``WORK`` table calls some of them with their arguments, so a traced ``compare``
-is run as well: a changed signature makes that run fail.
+is run as well: a changed signature makes that run fail. The benchmark's
+self-test swaps ``indicator.gram_matrix`` for a drifting kernel and must see
+the output move, so it is run too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import pytest
 import ucindex
 from ucindex.io_formats import write_series_csv
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACED_CLI = PERFBENCH / "traced_cli.py"
 
 
 def traced_table() -> dict[str, tuple[str, ...]]:
@@ -59,3 +62,9 @@ def test_traced_compare_runs_cleanly(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert {"indicator.indicator_series", "io_formats.read_series_csv"} <= names
+
+
+def test_benchmark_selftest_passes():
+    run = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=PERFBENCH.parent,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
