@@ -15,9 +15,10 @@ multiplication commutes, and the products for (i, j) and (j, i) are added in
 the same order). That order belongs to numpy's ``einsum``; the strict tests
 pin it with ``np.array_equal``, for single windows, stacks and row blocks, so
 a numpy that changes it fails the tests instead of shifting results. A
-period's values thus depend neither on its chunk of periods nor on the row
-blocks of R, both bounded by one byte cap, ``CHUNK_BYTES``; the indicator
-path (:func:`window_indicator`) holds one block, never the n x n matrix.
+period's values thus depend on none of how the work is cut: its chunk of
+periods, the row blocks of R, or the thread that sums a block. The indicator
+path (:func:`window_indicator`) never holds the n x n matrix; past one block,
+the calling thread and one worker thread share its blocks and its byte cap.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -32,10 +33,11 @@ and the negated basic values, so large, nearly equal modes do not cancel.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum, prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,11 +55,12 @@ INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on the one row
-# block of a larger Gram matrix that the indicator path holds, never the n x n matrix: a chunk has
+# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on the row
+# blocks of a larger Gram matrix that the indicator path holds, never the n x n matrix: a chunk has
 # p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from n = 257 on),
-# a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000). A 4 MiB cap (the L2 size) raised
-# ledger-long's peak RSS 38.6 -> 46.2 MB.
+# a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000). From n = 363 on, a matrix spans
+# blocks, and its two threads share the cap: 65 rows each at n = 1000. A 4 MiB cap (the L2 size)
+# raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -198,7 +201,8 @@ def _raise_non_finite(error: str, flag: int) -> None:
     raise NonFiniteValue(f"{error} encountered")
 
 
-# a decorator only: numpy then sets the state per call, so threads and nested calls are safe
+# a decorator only, so numpy sets the state per call; the state is per thread (context), so a
+# function run on another thread must carry the decorator itself
 _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
@@ -214,26 +218,23 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
     return w
 
 
-def _gram_rows(w: np.ndarray, k: int,
-               out: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(rows, block)``: those rows of W'W / (k-1), per slice, for a checked window or stack.
-
-    A block fills those rows of ``out``, or else one reused buffer within ``CHUNK_BYTES`` (valid
-    until the next), and may hold NaN or inf: einsum does not report overflow to np.errstate.
-    C-ordered operands and a zero column appended at n = 1 keep the contract's summation order.
+def _gram_rows(w: np.ndarray, k: int, rows: Iterable[slice],
+               out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield ``(r, block)``: rows r of W'W / (k-1), per slice, for each row slice r of ``rows``,
+    from a checked window or stack, in rows r of ``out`` if it has n rows, else in its first
+    rows (valid until the next). A block may hold NaN or inf: einsum does not report overflow to
+    np.errstate. C-ordered operands and a zero column appended at n = 1 (``out`` has room for it)
+    keep the contract's summation order.
     """
     n = w.shape[-1]
     if n == 1:
         w = np.concatenate((w, np.zeros_like(w)), axis=-1)
-    step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
-    buffer = np.empty(w.shape[:-2] + (min(step, n), w.shape[-1])) if out is None else out
-    for r in range(0, max(n, 1), step):  # n = 0 yields one empty block
-        rows = slice(r, min(r + step, n))
-        block = buffer[..., rows if out is not None else slice(rows.stop - r), :]
-        np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., rows]), w,
+    for r in rows:
+        block = out[..., r if out.shape[-2] == n else slice(r.stop - r.start), :]
+        np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., r]), w,
                   optimize=False, out=block)
         block /= k - 1
-        yield rows, block[..., :n]
+        yield r, block[..., :n]
 
 
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
@@ -247,28 +248,78 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
         If the window contains NaN or infinite entries, or the sums overflow.
     """
     w = _checked_window(window, k, (2, 3))
-    n = w.shape[-1]
+    n, step = w.shape[-1], max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
     g = np.empty(w.shape[:-2] + (n, n + (n == 1)))  # room for _gram_rows' zero column
-    for _, block in _gram_rows(w, k, g):
+    for _, block in _gram_rows(w, k, (slice(r, min(r + step, n)) for r in range(0, n, step)), g):
         if not np.isfinite(block).all():
             raise NonFiniteValue("overflow encountered")
     return g[..., :n]
 
 
 _GRAM_MATRIX = gram_matrix
+_tasks = None  # the queue of the one worker thread, started by the first window that needs it
+
+
+@_finite  # on the worker too: np.errstate does not reach a thread from the one that set it
+def _abs_row_sums(w: np.ndarray, k: int, rows: Iterable[slice], sums: np.ndarray,
+                  out: np.ndarray) -> None:
+    """Fill ``sums[..., r]`` for each row slice r of ``rows``, calling nothing the trace wraps."""
+    for r, block in _gram_rows(w, k, rows, out):
+        np.abs(block, out=block).sum(axis=-1, out=sums[..., r])
+
+
+def _run(done, *task) -> None:
+    """Put None or the error of ``_abs_row_sums(*task)`` in ``done``, the task's arrays let go."""
+    try:
+        result = _abs_row_sums(*task)
+    except Exception as exc:
+        result = exc
+    del task  # before done: the caller's next window must not find this one's arrays held
+    done.put(result)
+
+
+def _serve(tasks) -> None:
+    """The worker thread: run each task it is given."""
+    while True:
+        _run(*tasks.get())
 
 
 def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     """``row_indicator(gram_matrix(window, k))``, bit for bit, from row blocks: no n x n matrix.
 
-    Raises as :func:`gram_matrix`: a NaN or infinite entry makes its row's sum non-finite, so
-    one check of the sums catches every overflow. A ``gram_matrix`` rebound in this module alone
-    (``perfbench/selftest.py`` swaps in a drifting kernel) is used as given, on its whole matrix.
+    Past one block, the caller and one worker thread take the next block until none is left;
+    the worker is always joined, and the caller's error wins. Raises as :func:`gram_matrix`: a
+    NaN or infinite entry makes its row's sum non-finite, so one check of the sums catches every
+    overflow. A ``gram_matrix`` rebound in this module alone (``perfbench/selftest.py`` swaps in
+    a drifting kernel) is used as given, on its whole matrix, in the calling thread.
     """
+    global _tasks
     if gram_matrix is not _GRAM_MATRIX:
         return row_indicator(gram_matrix(window, k))
-    blocks = _gram_rows(_checked_window(window, k, (2, 3)), k)
-    sums = np.concatenate([row_indicator(block) for _, block in blocks], axis=-1)
+    w = _checked_window(window, k, (2, 3))
+    n, step = w.shape[-1], max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
+    sums = np.empty(w.shape[:-2] + (n,))
+    if n <= step:
+        _abs_row_sums(w, k, [slice(0, n)], sums, np.empty(w.shape[:-2] + (n, n + (n == 1))))
+    else:  # two threads, each with half a cap's rows a block
+        import queue  # here, so start-up and small n never load it
+        if _tasks is None:
+            _tasks = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_tasks,), name="ucindex", daemon=True).start()
+        half, done = max(1, step // 2), queue.SimpleQueue()
+        blocks = iter([slice(r, min(r + half, n)) for r in range(0, n, half)])  # next() is atomic
+        first, second = np.empty((2,) + w.shape[:-2] + (half, n))
+        _tasks.put((done, w, k, blocks, sums, second))
+        try:
+            _abs_row_sums(w, k, blocks, sums, first)
+        finally:
+            try:  # a task the worker has not taken yet is run here, on no block left
+                _run(*_tasks.get_nowait())
+            except queue.Empty:
+                pass
+            error = done.get()  # waits for the worker, so it never outlives this call
+        if error is not None:
+            raise error
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums

@@ -473,3 +473,24 @@ def test_python_dash_m_runs_the_cli():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"ucindex {ucindex.__version__}\n"
+
+
+def test_start_up_and_small_windows_start_no_worker_thread(tmp_path):
+    # the worker thread and its queue are made only for a Gram matrix of two or more row blocks
+    rng = np.random.default_rng(7)
+    for mode in ("basic", "universal"):
+        write_series(tmp_path / f"{mode}.csv", rng.uniform(1, 10, size=(24, 40)))
+    script = (
+        "import sys, threading\n"
+        "import ucindex.cli\n"
+        "code = ucindex.cli.cli_main(['compare', '--basic', 'basic.csv', '--universal',"
+        " 'universal.csv', '--window', '12'])\n"
+        "print(code, 'concurrent.futures' in sys.modules, 'queue' in sys.modules,"
+        " threading.active_count(), file=sys.stderr)\n"
+    )
+    src = str(Path(ucindex.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stderr == "0 False False 1\n"

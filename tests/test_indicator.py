@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import queue
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import fsum
 
@@ -418,6 +423,212 @@ class TestWindowIndicator:
             tracemalloc.stop()
         assert result.values.shape == (4, 1000)
         assert peak < 3 * 2**20
+
+
+def at_both_ends(kind: str) -> np.ndarray:
+    """``late_overflow(kind)`` with the overflow of Gram rows 38 and 39 copied to rows 0 and 1."""
+    window = late_overflow(kind)
+    window[:, :2] = window[:, 38:]
+    return window
+
+
+def in_the_last_block(kind: str) -> np.ndarray:
+    """``late_overflow(kind)``, but a finite row-sum overflow in row 39 alone (1.9e308 there,
+    1.71e308 in row 38), so a thread that sums every block but the last meets none."""
+    window = late_overflow(kind)
+    if kind == "row-sum":
+        window[0, 38:] = [0.9e154, 1e154]
+    return window
+
+
+def record_threads(monkeypatch, fail=(), caller_delay=0.0) -> list[tuple[str, list[int]]]:
+    """Log (thread name, rows) of each ``_abs_row_sums`` call; one on a thread named in ``fail``
+    raises, and the caller's starts ``caller_delay`` seconds late, so the worker takes its task."""
+    log, real = [], indicator._abs_row_sums
+
+    def recorded(w, k, rows, sums, out):
+        thread = threading.current_thread().name
+        if thread == "MainThread":
+            time.sleep(caller_delay)
+        if thread in fail:
+            raise ValueError(f"{thread} failed")
+        taken = []
+        real(w, k, (r for r in rows if not taken.append(r)), sums, out)
+        log.append((thread, [i for r in taken for i in range(r.start, r.stop)]))
+
+    monkeypatch.setattr(indicator, "_abs_row_sums", recorded)
+    return log
+
+
+def worker_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "ucindex"]
+
+
+class TestTwoThreads:
+    """Past one row block, the caller and one worker thread take the next block until none is left."""
+
+    @pytest.mark.parametrize("n", [363, 500, 1000])
+    def test_uncapped_windows_are_bit_identical(self, n):
+        windows = row_block_windows(n)
+        for name, window in windows.items():
+            expected = row_indicator(gram_matrix(window, 12))
+            assert np.array_equal(window_indicator(window, 12), expected), name
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2])
+    def test_each_row_is_summed_once_in_blocks_of_half_a_cap(self, monkeypatch, delay):
+        log = record_threads(monkeypatch, caller_delay=delay)
+        window = row_block_windows(1000)["spike"]
+        assert np.array_equal(window_indicator(window, 12), row_indicator(gram_matrix(window, 12)))
+        assert sorted(i for _, rows in log for i in rows) == list(range(1000))
+        assert {thread for thread, _ in log} <= {"MainThread", "ucindex"}
+        if delay:  # a caller that starts late leaves every block to the worker
+            assert sorted(log) == [("MainThread", []), ("ucindex", list(range(1000)))]
+
+    def test_one_block_stays_on_the_calling_thread(self, monkeypatch):
+        log = record_threads(monkeypatch)
+        window_indicator(row_block_windows(362)["c-order"], 12)  # 362 rows fit one 1 MiB block
+        window_indicator(np.stack(list(row_block_windows(40).values())), 12)
+        assert log == [("MainThread", list(range(362))), ("MainThread", list(range(40)))]
+
+    def test_one_worker_is_started_and_reused(self):
+        window = row_block_windows(400)["c-order"]
+        window_indicator(window, 12)
+        assert len(worker_threads()) == 1
+        first = worker_threads()[0]
+        window_indicator(window, 12)
+        assert worker_threads() == [first] and first.daemon
+
+    @pytest.mark.parametrize("where", ["worker", "either", "both"])
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    def test_overflow_on_either_thread_is_non_finite_value(self, monkeypatch, kind, where):
+        cap_rows(monkeypatch, 3, 8 * 40)  # blocks of one row
+        windows = {"worker": in_the_last_block, "either": late_overflow, "both": at_both_ends}
+        if where == "worker":  # the worker takes every block, and then errs alone
+            record_threads(monkeypatch, caller_delay=0.2)
+        window = windows[where](kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue, match="overflow"):
+                window_indicator(window, 2)
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
+                window_indicator(window, 2)
+
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    def test_overflow_at_both_ends_names_the_period(self, monkeypatch, kind):
+        cap_rows(monkeypatch, 3, 8 * 40)
+        values = np.random.default_rng(8).uniform(1, 10, size=(40, 12))
+        values[:, :2] = at_both_ends(kind).T  # periods 1 and 2: the first window under SHRINK
+        config = WindowConfig(k=3, warmup=Warmup.SHRINK)
+        with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
+            indicator_series(labelled(values), config, "spiked")
+
+    @pytest.mark.parametrize("fail, raised", [(("MainThread",), "MainThread"),
+                                              (("ucindex",), "ucindex"),
+                                              (("MainThread", "ucindex"), "MainThread")])
+    def test_the_callers_error_wins(self, monkeypatch, fail, raised):
+        record_threads(monkeypatch, fail, caller_delay=0.2)
+        with pytest.raises(ValueError, match=f"^{raised} failed$"):
+            window_indicator(row_block_windows(400)["c-order"], 12)
+
+    @pytest.mark.parametrize("fail", [(), ("MainThread",)], ids=["returning", "raising"])
+    def test_the_worker_is_joined_before_the_call_ends(self, monkeypatch, fail):
+        real, finished = indicator._abs_row_sums, []
+
+        def worker_late(w, k, rows, sums, out):
+            if threading.current_thread().name == "ucindex":
+                time.sleep(0.4)  # taken, then idle well past the caller's end
+                real(w, k, rows, sums, out)
+                finished.append(True)
+            else:
+                time.sleep(0.2)
+                if fail:
+                    raise ValueError("caller failed")
+                real(w, k, rows, sums, out)
+
+        monkeypatch.setattr(indicator, "_abs_row_sums", worker_late)
+        window = row_block_windows(400)["c-order"]
+        if fail:
+            with pytest.raises(ValueError, match="caller failed"):
+                window_indicator(window, 12)
+        else:
+            assert np.array_equal(window_indicator(window, 12),
+                                  row_indicator(gram_matrix(window, 12)))
+        assert finished == [True]
+
+    def test_a_task_the_worker_has_not_taken_is_run_by_the_caller(self, monkeypatch):
+        unserved = queue.SimpleQueue()  # as if the worker had yet to wake
+        monkeypatch.setattr(indicator, "_tasks", unserved)
+        log, rescued, returned = record_threads(monkeypatch), [], threading.Event()
+
+        def watchdog():  # runs the task only if the caller left it queued and waits for it
+            if not returned.wait(timeout=10):
+                rescued.append(True)
+                indicator._run(*unserved.get())
+
+        guard = threading.Thread(target=watchdog)
+        guard.start()
+        window = row_block_windows(400)["c-order"]
+        try:
+            sums = window_indicator(window, 12)
+        finally:
+            returned.set()
+            guard.join(timeout=20)
+        assert not guard.is_alive()
+        assert np.array_equal(sums, row_indicator(gram_matrix(window, 12)))
+        assert (rescued, unserved.empty()) == ([], True)
+        assert log == [("MainThread", list(range(400))), ("MainThread", [])]
+
+    def test_callers_on_several_threads_share_the_worker(self, monkeypatch):
+        # more callers than cores and a short switch interval: a block lost or summed twice
+        # between a caller, the worker and another caller's queued task changes a result
+        cap_rows(monkeypatch, 5, 8 * 200)  # blocks of two rows
+        windows = [row_block_windows(200)[name] for name in ("c-order", "spike", "cancellation")]
+        expected = [row_indicator(gram_matrix(window, 12)) for window in windows]
+        wrong, interval = [], sys.getswitchinterval()
+
+        def caller(i):
+            for _ in range(30):
+                if not np.array_equal(window_indicator(windows[i % 3], 12), expected[i % 3]):
+                    wrong.append(i)
+
+        callers = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert wrong == []
+
+    def test_a_rebound_gram_matrix_stays_on_the_calling_thread(self, monkeypatch):
+        threads = []
+
+        def rebound(window, k):
+            threads.append(threading.current_thread().name)
+            return gram_matrix(window, k)
+
+        monkeypatch.setattr(indicator, "gram_matrix", rebound)
+        log = record_threads(monkeypatch)
+        window = row_block_windows(400)["c-order"]
+        assert np.array_equal(window_indicator(window, 12), row_indicator(gram_matrix(window, 12)))
+        assert (threads, log) == (["MainThread"], [])
+
+    def test_memory_is_one_shared_cap_and_freed_on_return(self):
+        # a per-thread 1 MiB buffer would take 2 MiB; the threads share one cap, and the worker
+        # drops its task before the call returns, so the next window's buffer never adds to it
+        window = np.random.default_rng(5).uniform(1, 10, size=(12, 1000))
+        window_indicator(window, 12)  # the first call of the process may start the worker
+        tracemalloc.start()
+        try:
+            sums = window_indicator(window, 12)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= indicator.CHUNK_BYTES + sums.nbytes + 64 * 2**10
+        assert held <= sums.nbytes + 64 * 2**10
 
 
 class TestRowIndicator:

@@ -16,6 +16,8 @@ import importlib.util
 import json
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,54 @@ def test_traced_compare_runs_cleanly(tmp_path):
     assert (run.returncode, run.stderr) == (0, "")
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert {"indicator.indicator_series", "io_formats.read_series_csv"} <= names
+
+
+def test_traced_compare_on_the_two_thread_path_runs_cleanly(tmp_path):
+    # n = 400 spans two row blocks, so each window's blocks are shared with the worker thread
+    rng = np.random.default_rng(4)
+    args = ["compare", "--window", "12", "--format", "csv"]
+    labels = tuple(f"v{i}" for i in range(400))
+    for mode in ("basic", "universal"):
+        path = tmp_path / f"{mode}.csv"
+        write_series_csv(path, ucindex.ProcessSeries(rng.uniform(1, 10, (400, 16)), labels))
+        args += [f"--{mode}", str(path)]
+    spans = tmp_path / "spans.json"
+    src = Path(ucindex.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), "0", str(src), "--", *args],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stderr) == (0, "")
+    names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert "indicator.indicator_series" in names
+
+
+def test_the_worker_thread_calls_no_traced_function(monkeypatch):
+    # the trace keeps one span stack, which another thread's calls would corrupt
+    from ucindex import indicator
+
+    threads = set()
+
+    def on_thread(name, fn):
+        def recorded(*args, **kwargs):
+            thread = threading.current_thread().name
+            threads.add((name, thread))
+            if (name, thread) == ("_abs_row_sums", "MainThread"):
+                time.sleep(0.2)  # so the worker takes its task, and every block
+            return fn(*args, **kwargs)
+        return recorded
+
+    wrapped = [("indicator", "_abs_row_sums")]
+    wrapped += [(layer, name) for layer, names in traced_table().items() for name in names]
+    for layer, name in wrapped:  # as the trace does: every name in the kernel's module bound to it
+        fn = getattr(importlib.import_module(f"ucindex.{layer}"), name)
+        wrapper = on_thread(name, fn)
+        for attr, value in list(vars(indicator).items()):
+            if value is fn:
+                monkeypatch.setattr(indicator, attr, wrapper)
+    series = ucindex.ProcessSeries(np.random.default_rng(4).uniform(1, 10, (400, 14)),
+                                   tuple(f"v{i}" for i in range(400)))
+    indicator.indicator_series(series, ucindex.WindowConfig(k=12, standardize=True))
+    assert ("_abs_row_sums", "ucindex") in threads
+    assert {name for name, thread in threads if thread != "MainThread"} == {"_abs_row_sums"}
 
 
 def test_benchmark_selftest_passes():
