@@ -18,7 +18,7 @@ a numpy that changes it fails the tests instead of shifting results. A
 period's values thus depend on none of how the work is cut: its chunk of
 periods, the row blocks of R, or the thread that sums a block. The indicator
 path (:func:`window_indicator`) never holds the n x n matrix; past one block,
-the calling thread and one worker thread share its blocks and its byte cap.
+it may share the blocks and the byte cap with one worker thread.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -34,10 +34,11 @@ and the negated basic values, so large, nearly equal modes do not cancel.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum, prod
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -58,9 +59,8 @@ MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 # Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on the row
 # blocks of a larger Gram matrix that the indicator path holds, never the n x n matrix: a chunk has
 # p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from n = 257 on),
-# a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000). From n = 363 on, a matrix spans
-# blocks, and its two threads share the cap: 65 rows each at n = 1000. A 4 MiB cap (the L2 size)
-# raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000; 65 on each of two threads, which
+# share the cap). A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -201,13 +201,13 @@ def _raise_non_finite(error: str, flag: int) -> None:
     raise NonFiniteValue(f"{error} encountered")
 
 
-# a decorator only, so numpy sets the state per call; the state is per thread (context), so a
-# function run on another thread must carry the decorator itself
+# a decorator only: numpy sets the state per call and per thread, so a worker's code needs its own
 _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
-def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.ndarray:
-    """The window as C-ordered floats, once it passes the checks the kernel and oracle share."""
+def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The window as C-ordered floats, once it passes the checks the kernel and oracle share,
+    and the Gram rows per block: as many as ``CHUNK_BYTES`` holds."""
     w = np.ascontiguousarray(window, dtype=float)
     if k < 2:
         raise BadWindow(f"window length must be >= 2, got k={k}")
@@ -215,26 +215,19 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
         raise BadWindow(f"expected {k} window rows, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NonFiniteValue("window contains NaN or infinite entries")
-    return w
+    return w, max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))
 
 
-def _gram_rows(w: np.ndarray, k: int, rows: Iterable[slice],
-               out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield ``(r, block)``: rows r of W'W / (k-1), per slice, for each row slice r of ``rows``,
-    from a checked window or stack, in rows r of ``out`` if it has n rows, else in its first
-    rows (valid until the next). A block may hold NaN or inf: einsum does not report overflow to
-    np.errstate. C-ordered operands and a zero column appended at n = 1 (``out`` has room for it)
-    keep the contract's summation order.
-    """
-    n = w.shape[-1]
+def _gram_block(w: np.ndarray, k: int, rows: slice, out: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` of W'W / (k-1), per slice, of a checked window or stack, filled in ``out``;
+    NaN or inf stays unreported, as einsum does not report overflow to np.errstate. C-ordered
+    operands and a zero column appended at n = 1 (``out`` has room) keep the summation order."""
+    n, left = w.shape[-1], np.ascontiguousarray(w[..., rows])
     if n == 1:
         w = np.concatenate((w, np.zeros_like(w)), axis=-1)
-    for r in rows:
-        block = out[..., r if out.shape[-2] == n else slice(r.stop - r.start), :]
-        np.einsum("...li,...lj->...ij", np.ascontiguousarray(w[..., r]), w,
-                  optimize=False, out=block)
-        block /= k - 1
-        yield r, block[..., :n]
+    np.einsum("...li,...lj->...ij", left, w, optimize=False, out=out)
+    out /= k - 1
+    return out[..., :n]
 
 
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
@@ -247,79 +240,79 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    w = _checked_window(window, k, (2, 3))
-    n, step = w.shape[-1], max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
-    g = np.empty(w.shape[:-2] + (n, n + (n == 1)))  # room for _gram_rows' zero column
-    for _, block in _gram_rows(w, k, (slice(r, min(r + step, n)) for r in range(0, n, step)), g):
-        if not np.isfinite(block).all():
+    w, step = _checked_window(window, k, (2, 3))
+    n = w.shape[-1]
+    g = np.empty(w.shape[:-2] + (n, n + (n == 1)))  # room for _gram_block's zero column
+    for r in range(0, max(n, 1), step):  # n = 0 makes one empty block
+        if not np.isfinite(_gram_block(w, k, slice(r, r + step), g[..., r : r + step, :])).all():
             raise NonFiniteValue("overflow encountered")
     return g[..., :n]
 
 
 _GRAM_MATRIX = gram_matrix
-_tasks = None  # the queue of the one worker thread, started by the first window that needs it
+_starting = threading.Lock()  # so that two first callers start one worker thread
+_tasks = None  # the worker's queue, made with it by the first window it shares
+_pace = [np.inf, np.inf, 0]  # smoothed seconds per p k n^2 on one thread, on two; wide windows
 
 
 @_finite  # on the worker too: np.errstate does not reach a thread from the one that set it
-def _abs_row_sums(w: np.ndarray, k: int, rows: Iterable[slice], sums: np.ndarray,
+def _abs_row_sums(w: np.ndarray, k: int, starts: Iterable[int], step: int, sums: np.ndarray,
                   out: np.ndarray) -> None:
-    """Fill ``sums[..., r]`` for each row slice r of ``rows``, calling nothing the trace wraps."""
-    for r, block in _gram_rows(w, k, rows, out):
-        np.abs(block, out=block).sum(axis=-1, out=sums[..., r])
-
-
-def _run(done, *task) -> None:
-    """Put None or the error of ``_abs_row_sums(*task)`` in ``done``, the task's arrays let go."""
-    try:
-        result = _abs_row_sums(*task)
-    except Exception as exc:
-        result = exc
-    del task  # before done: the caller's next window must not find this one's arrays held
-    done.put(result)
+    """Fill ``sums`` from r to r + step for each start r, a Gram row block at a time in ``out``."""
+    for r in starts:
+        block = _gram_block(w, k, slice(r, r + step), out[..., : sums.shape[-1] - r, :])
+        np.abs(block, out=block).sum(axis=-1, out=sums[..., r : r + step])
 
 
 def _serve(tasks) -> None:
-    """The worker thread: run each task it is given."""
+    """The worker thread: run each task it is given, and hand back None or what it raised."""
     while True:
-        _run(*tasks.get())
+        done, *task = tasks.get()
+        try:
+            task = _abs_row_sums(*task)  # None: the arrays are let go before the caller wakes
+        except BaseException as exc:  # any, so the caller is never left waiting
+            task = exc
+        done.put(task)
 
 
 def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     """``row_indicator(gram_matrix(window, k))``, bit for bit, from row blocks: no n x n matrix.
 
-    Past one block, the caller and one worker thread take the next block until none is left;
-    the worker is always joined, and the caller's error wins. Raises as :func:`gram_matrix`: a
-    NaN or infinite entry makes its row's sum non-finite, so one check of the sums catches every
-    overflow. A ``gram_matrix`` rebound in this module alone (``perfbench/selftest.py`` swaps in
-    a drifting kernel) is used as given, on its whole matrix, in the calling thread.
+    Past one block, the caller and one worker thread each take the next block of half a cap's
+    rows until none is left, unless one thread has lately been faster per unit of work (each
+    32nd such window tries the other way). Raises as :func:`gram_matrix`, the caller's error
+    first: a NaN or infinite entry makes its row's sum non-finite, so one check of the sums
+    catches every overflow. A ``gram_matrix`` rebound in this module alone
+    (``perfbench/selftest.py`` swaps in a drifting kernel) is used as given, on the caller.
     """
     global _tasks
     if gram_matrix is not _GRAM_MATRIX:
         return row_indicator(gram_matrix(window, k))
-    w = _checked_window(window, k, (2, 3))
-    n, step = w.shape[-1], max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # rows per block
-    sums = np.empty(w.shape[:-2] + (n,))
-    if n <= step:
-        _abs_row_sums(w, k, [slice(0, n)], sums, np.empty(w.shape[:-2] + (n, n + (n == 1))))
-    else:  # two threads, each with half a cap's rows a block
-        import queue  # here, so start-up and small n never load it
-        if _tasks is None:
-            _tasks = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_tasks,), name="ucindex", daemon=True).start()
-        half, done = max(1, step // 2), queue.SimpleQueue()
-        blocks = iter([slice(r, min(r + half, n)) for r in range(0, n, half)])  # next() is atomic
-        first, second = np.empty((2,) + w.shape[:-2] + (half, n))
-        _tasks.put((done, w, k, blocks, sums, second))
-        try:
-            _abs_row_sums(w, k, blocks, sums, first)
-        finally:
-            try:  # a task the worker has not taken yet is run here, on no block left
-                _run(*_tasks.get_nowait())
-            except queue.Empty:
-                pass
-            error = done.get()  # waits for the worker, so it never outlives this call
-        if error is not None:
-            raise error
+    w, step = _checked_window(window, k, (2, 3))
+    n, start = w.shape[-1], time.perf_counter()
+    two = n > step and (_pace[1] <= _pace[0]) != (_pace[2] % 32 == 1)
+    step = max(1, step // 2) if two else step
+    sums, starts = np.empty(w.shape[:-2] + (n,)), iter(range(0, max(n, 1), step))
+    first, *second = np.empty((1 + two,) + w.shape[:-2] + (min(step, n), n + (n == 1)))
+    if two:
+        import queue  # here, so start-up and small windows never load it
+
+        with _starting:
+            if _tasks is None:  # set once the worker runs, so a failed start leaves no queue
+                tasks = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(tasks,), name="ucindex", daemon=True).start()
+                _tasks = tasks
+        done, start = queue.SimpleQueue(), time.perf_counter()  # the worker's start is not timed
+        _tasks.put((done, w, k, starts, step, sums, *second))  # next() on starts is atomic
+    try:
+        _abs_row_sums(w, k, starts, step, sums, first)
+    finally:  # the worker is always joined
+        error = done.get() if two else None
+    if error is not None:
+        raise error
+    if two or n > step:
+        _pace[2], seconds = _pace[2] + 1, (time.perf_counter() - start) / (w.size * n)
+        _pace[two] = seconds if _pace[two] == np.inf else (_pace[two] + seconds) / 2
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums
@@ -332,7 +325,7 @@ def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
     from the defining sum. Exists to cross-check the fast path and for
     nothing else.
     """
-    w = _checked_window(window, k, (2,))
+    w, _ = _checked_window(window, k, (2,))
     n = w.shape[1]
     g = np.zeros((n, n))
     for i in range(n):

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
-import queue
+import os
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import types
 import warnings
 from fractions import Fraction
 from math import fsum
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,20 +444,26 @@ def in_the_last_block(kind: str) -> np.ndarray:
     return window
 
 
-def record_threads(monkeypatch, fail=(), caller_delay=0.0) -> list[tuple[str, list[int]]]:
+class Halt(BaseException):
+    """Not an Exception, as a worker may also meet."""
+
+
+def record_threads(monkeypatch, fail=(), caller_delay=0.0,
+                   error=ValueError) -> list[tuple[str, list[int]]]:
     """Log (thread name, rows) of each ``_abs_row_sums`` call; one on a thread named in ``fail``
-    raises, and the caller's starts ``caller_delay`` seconds late, so the worker takes its task."""
+    raises ``error``, and a caller's starts ``caller_delay`` seconds late, so the worker takes
+    its task."""
     log, real = [], indicator._abs_row_sums
 
-    def recorded(w, k, rows, sums, out):
+    def recorded(w, k, starts, step, sums, out):
         thread = threading.current_thread().name
-        if thread == "MainThread":
+        if thread != "ucindex":
             time.sleep(caller_delay)
         if thread in fail:
-            raise ValueError(f"{thread} failed")
+            raise error(f"{thread} failed")
         taken = []
-        real(w, k, (r for r in rows if not taken.append(r)), sums, out)
-        log.append((thread, [i for r in taken for i in range(r.start, r.stop)]))
+        real(w, k, (r for r in starts if not taken.append(r)), step, sums, out)
+        log.append((thread, [i for r in taken for i in range(r, min(r + step, sums.shape[-1]))]))
 
     monkeypatch.setattr(indicator, "_abs_row_sums", recorded)
     return log
@@ -464,6 +473,13 @@ def worker_threads() -> list[threading.Thread]:
     return [t for t in threading.enumerate() if t.name == "ucindex"]
 
 
+@pytest.fixture
+def two_threads_faster(monkeypatch):
+    """Two threads timed the faster, and the next window that tries one thread 31 windows away."""
+    monkeypatch.setattr(indicator, "_pace", [np.inf, 0.0, 2])
+
+
+@pytest.mark.usefixtures("two_threads_faster")
 class TestTwoThreads:
     """Past one row block, the caller and one worker thread take the next block until none is left."""
 
@@ -498,6 +514,34 @@ class TestTwoThreads:
         window_indicator(window, 12)
         assert worker_threads() == [first] and first.daemon
 
+    def test_two_first_callers_start_one_worker(self):
+        # each caller enters its first window at once, and starting a thread is slowed down, so
+        # callers that both saw no worker would both start one
+        script = (
+            "import threading, time\n"
+            "import numpy as np\n"
+            "from ucindex.indicator import gram_matrix, row_indicator, window_indicator\n"
+            "window = np.random.default_rng(3).uniform(1, 10, (12, 400))\n"
+            "expected, results, gate = row_indicator(gram_matrix(window, 12)), [], "
+            "threading.Barrier(3)\n"
+            "def call():\n"
+            "    gate.wait()\n"
+            "    results.append(np.array_equal(window_indicator(window, 12), expected))\n"
+            "callers = [threading.Thread(target=call) for _ in range(2)]\n"
+            "for caller in callers:\n"
+            "    caller.start()\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (time.sleep(0.1), start(self))\n"
+            "gate.wait()\n"
+            "for caller in callers:\n"
+            "    caller.join()\n"
+            "print(results, [t.name for t in threading.enumerate()].count('ucindex'))\n"
+        )
+        src = str(Path(indicator.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=60, env={**os.environ, "PYTHONPATH": src})
+        assert (run.returncode, run.stderr, run.stdout) == (0, "", "[True, True] 1\n")
+
     @pytest.mark.parametrize("where", ["worker", "either", "both"])
     @pytest.mark.parametrize("kind", OVERFLOWS)
     def test_overflow_on_either_thread_is_non_finite_value(self, monkeypatch, kind, where):
@@ -530,20 +574,41 @@ class TestTwoThreads:
         with pytest.raises(ValueError, match=f"^{raised} failed$"):
             window_indicator(row_block_windows(400)["c-order"], 12)
 
+    def test_what_the_worker_raises_reaches_the_caller_and_the_worker_goes_on(self, monkeypatch):
+        # not only an Exception: a caller waiting for a worker that died would wait forever
+        window, real = row_block_windows(400)["c-order"], indicator._abs_row_sums
+        record_threads(monkeypatch, ("ucindex",), caller_delay=0.2, error=Halt)
+        raised = []
+
+        def call():
+            try:
+                window_indicator(window, 12)
+            except Halt as exc:
+                raised.append(str(exc))
+
+        caller = threading.Thread(target=call, daemon=True)  # so a wait for nothing cannot hang
+        caller.start()
+        caller.join(timeout=20)
+        assert raised == ["ucindex failed"]
+        monkeypatch.setattr(indicator, "_abs_row_sums", real)
+        log = record_threads(monkeypatch, caller_delay=0.2)
+        assert np.array_equal(window_indicator(window, 12), row_indicator(gram_matrix(window, 12)))
+        assert sorted(log) == [("MainThread", []), ("ucindex", list(range(400)))]
+
     @pytest.mark.parametrize("fail", [(), ("MainThread",)], ids=["returning", "raising"])
     def test_the_worker_is_joined_before_the_call_ends(self, monkeypatch, fail):
         real, finished = indicator._abs_row_sums, []
 
-        def worker_late(w, k, rows, sums, out):
+        def worker_late(w, k, starts, step, sums, out):
             if threading.current_thread().name == "ucindex":
                 time.sleep(0.4)  # taken, then idle well past the caller's end
-                real(w, k, rows, sums, out)
+                real(w, k, starts, step, sums, out)
                 finished.append(True)
             else:
                 time.sleep(0.2)
                 if fail:
                     raise ValueError("caller failed")
-                real(w, k, rows, sums, out)
+                real(w, k, starts, step, sums, out)
 
         monkeypatch.setattr(indicator, "_abs_row_sums", worker_late)
         window = row_block_windows(400)["c-order"]
@@ -554,29 +619,6 @@ class TestTwoThreads:
             assert np.array_equal(window_indicator(window, 12),
                                   row_indicator(gram_matrix(window, 12)))
         assert finished == [True]
-
-    def test_a_task_the_worker_has_not_taken_is_run_by_the_caller(self, monkeypatch):
-        unserved = queue.SimpleQueue()  # as if the worker had yet to wake
-        monkeypatch.setattr(indicator, "_tasks", unserved)
-        log, rescued, returned = record_threads(monkeypatch), [], threading.Event()
-
-        def watchdog():  # runs the task only if the caller left it queued and waits for it
-            if not returned.wait(timeout=10):
-                rescued.append(True)
-                indicator._run(*unserved.get())
-
-        guard = threading.Thread(target=watchdog)
-        guard.start()
-        window = row_block_windows(400)["c-order"]
-        try:
-            sums = window_indicator(window, 12)
-        finally:
-            returned.set()
-            guard.join(timeout=20)
-        assert not guard.is_alive()
-        assert np.array_equal(sums, row_indicator(gram_matrix(window, 12)))
-        assert (rescued, unserved.empty()) == ([], True)
-        assert log == [("MainThread", list(range(400))), ("MainThread", [])]
 
     def test_callers_on_several_threads_share_the_worker(self, monkeypatch):
         # more callers than cores and a short switch interval: a block lost or summed twice
@@ -629,6 +671,55 @@ class TestTwoThreads:
             tracemalloc.stop()
         assert peak <= indicator.CHUNK_BYTES + sums.nbytes + 64 * 2**10
         assert held <= sums.nbytes + 64 * 2**10
+
+
+class TestOneThreadOrTwo:
+    """Past one row block, the way timed the faster per unit of work lately is taken; each 32nd
+    such window tries the other way."""
+
+    def calls(self, monkeypatch, seconds=None) -> list[str]:
+        """Log each window's way: "one" or "two" threads, told apart by the caller's block size;
+        with ``seconds`` (by way), a stopped clock moves only by those per window."""
+        ways, real = [], indicator._abs_row_sums
+        clock = [0.0]
+
+        def recorded(w, k, starts, step, sums, out):
+            if threading.current_thread().name == "MainThread":
+                way = "one" if step == indicator._checked_window(w, k, (2, 3))[1] else "two"
+                ways.append(way)
+                clock[0] += seconds[way] if seconds else 0.0
+            real(w, k, starts, step, sums, out)
+
+        monkeypatch.setattr(indicator, "_abs_row_sums", recorded)
+        if seconds:
+            monkeypatch.setattr(indicator, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        return ways
+
+    @pytest.mark.parametrize("faster", ["one", "two"])
+    def test_the_faster_way_is_kept_and_the_other_tried_each_32nd_window(self, monkeypatch,
+                                                                         faster):
+        other = {"one": "two", "two": "one"}[faster]
+        monkeypatch.setattr(indicator, "_pace", [0.0, 1.0, 0] if faster == "one" else [1.0, 0.0, 0])
+        ways = self.calls(monkeypatch)
+        window = row_block_windows(400)["c-order"]
+        for _ in range(34):
+            window_indicator(window, 12)
+        assert ways == [faster, other] + [faster] * 31 + [other]
+
+    def test_a_way_timed_slower_is_left(self, monkeypatch):
+        monkeypatch.setattr(indicator, "_pace", [np.inf, np.inf, 0])
+        ways = self.calls(monkeypatch, seconds={"one": 1.0, "two": 3.0})
+        window = row_block_windows(400)["c-order"]
+        for _ in range(4):
+            assert np.array_equal(window_indicator(window, 12),
+                                  row_indicator(gram_matrix(window, 12)))
+        assert ways == ["two", "one", "one", "one"]  # the first window tries two threads
+
+    def test_small_windows_are_not_timed(self, monkeypatch):
+        pace = [np.inf, np.inf, 0]
+        monkeypatch.setattr(indicator, "_pace", pace)
+        window_indicator(row_block_windows(362)["c-order"], 12)
+        assert pace == [np.inf, np.inf, 0]
 
 
 class TestRowIndicator:

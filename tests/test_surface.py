@@ -89,6 +89,7 @@ def test_the_worker_thread_calls_no_traced_function(monkeypatch):
     from ucindex import indicator
 
     threads = set()
+    monkeypatch.setattr(indicator, "_pace", [np.inf, 0.0, 2])  # two threads timed the faster
 
     def on_thread(name, fn):
         def recorded(*args, **kwargs):
