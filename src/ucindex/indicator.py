@@ -250,7 +250,7 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
 
 
 _GRAM_MATRIX = gram_matrix
-_starting = threading.Lock()  # so that two first callers start one worker thread
+_lock = threading.Lock()  # so that two first callers start one worker, and no timing is lost
 _tasks = None  # the worker's queue, made with it by the first window it shares
 _pace = [np.inf, np.inf, 0]  # smoothed seconds per p k n^2 on one thread, on two; wide windows
 
@@ -297,7 +297,7 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     if two:
         import queue  # here, so start-up and small windows never load it
 
-        with _starting:
+        with _lock:
             if _tasks is None:  # set once the worker runs, so a failed start leaves no queue
                 tasks = queue.SimpleQueue()
                 threading.Thread(target=_serve, args=(tasks,), name="ucindex", daemon=True).start()
@@ -311,8 +311,9 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     if error is not None:
         raise error
     if two or n > step:
-        _pace[2], seconds = _pace[2] + 1, (time.perf_counter() - start) / (w.size * n)
-        _pace[two] = seconds if _pace[two] == np.inf else (_pace[two] + seconds) / 2
+        with _lock:
+            _pace[2], seconds = _pace[2] + 1, (time.perf_counter() - start) / (w.size * n)
+            _pace[two] = seconds if _pace[two] == np.inf else (_pace[two] + seconds) / 2
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums

@@ -622,7 +622,8 @@ class TestTwoThreads:
 
     def test_callers_on_several_threads_share_the_worker(self, monkeypatch):
         # more callers than cores and a short switch interval: a block lost or summed twice
-        # between a caller, the worker and another caller's queued task changes a result
+        # between a caller, the worker and another caller's queued task changes a result, and a
+        # timing update lost between callers changes the count of wide windows
         cap_rows(monkeypatch, 5, 8 * 200)  # blocks of two rows
         windows = [row_block_windows(200)[name] for name in ("c-order", "spike", "cancellation")]
         expected = [row_indicator(gram_matrix(window, 12)) for window in windows]
@@ -644,6 +645,7 @@ class TestTwoThreads:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
         assert wrong == []
+        assert indicator._pace[2] == 2 + 4 * 30  # no caller's timing lost
 
     def test_a_rebound_gram_matrix_stays_on_the_calling_thread(self, monkeypatch):
         threads = []
