@@ -694,7 +694,8 @@ class TestOneThreadOrTwo:
 
         monkeypatch.setattr(indicator, "_abs_row_sums", recorded)
         if seconds:
-            monkeypatch.setattr(indicator, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+            stopped = types.SimpleNamespace(perf_counter=lambda: clock[0])
+            monkeypatch.setattr(indicator, "time", stopped)
         return ways
 
     @pytest.mark.parametrize("faster", ["one", "two"])
