@@ -18,7 +18,8 @@ a numpy that changes it fails the tests instead of shifting results. A
 period's values thus depend on none of how the work is cut: its chunk of
 periods, the row blocks of R, or the thread that sums a block. The indicator
 path (:func:`window_indicator`) never holds the n x n matrix; past one block,
-it may share the blocks and the byte cap with one worker thread.
+it may share the blocks and the byte cap with one worker thread. Its plain
+reference, ``row_indicator(gram_matrix(window, k))``, holds R whole.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -37,7 +38,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from math import fsum, prod
+from math import fsum
 from typing import Iterable
 
 import numpy as np
@@ -57,7 +58,7 @@ INDICATOR_UNIT = "input-unit^2"
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
 # Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on the row
-# blocks of a larger Gram matrix that the indicator path holds, never the n x n matrix: a chunk has
+# blocks that window_indicator holds of a larger Gram matrix, never the whole matrix: a chunk has
 # p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from n = 257 on),
 # a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000; 65 on each of two threads, which
 # share the cap). A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
@@ -174,8 +175,6 @@ class ModeComparison:
 
     def __post_init__(self) -> None:
         basic, competency = self.basic, self.competency
-        if basic.t_max != competency.t_max:
-            raise ConfigMismatch(f"t_max differs: {basic.t_max} vs {competency.t_max}")
         if basic.n != competency.n:
             raise ConfigMismatch(f"variable count differs: {basic.n} vs {competency.n}")
         if basic.config != competency.config:
@@ -183,7 +182,8 @@ class ModeComparison:
                 f"window settings differ: {basic.config} vs {competency.config}"
             )
         if basic.periods != competency.periods:
-            raise ConfigMismatch("defined periods differ between the two series")
+            spans = (f"{m.first_period}..{m.t_max}" for m in (basic, competency))
+            raise ConfigMismatch("defined periods differ: {} vs {}".format(*spans))
         signed = np.hstack((competency.values, -basic.values))
         for name, arr in (("basic_scalars", scalar_per_period(basic)),
                           ("competency_scalars", scalar_per_period(competency)),
@@ -205,9 +205,8 @@ def _raise_non_finite(error: str, flag: int) -> None:
 _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
-def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The window as C-ordered floats, once it passes the checks the kernel and oracle share,
-    and the Gram rows per block: as many as ``CHUNK_BYTES`` holds."""
+def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.ndarray:
+    """The window as C-ordered floats, once it passes the checks the kernel and oracle share."""
     w = np.ascontiguousarray(window, dtype=float)
     if k < 2:
         raise BadWindow(f"window length must be >= 2, got k={k}")
@@ -215,7 +214,7 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> tuple
         raise BadWindow(f"expected {k} window rows, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise NonFiniteValue("window contains NaN or infinite entries")
-    return w, max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))
+    return w
 
 
 def _gram_block(w: np.ndarray, k: int, rows: slice, out: np.ndarray) -> np.ndarray:
@@ -240,13 +239,12 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    w, step = _checked_window(window, k, (2, 3))
-    n = w.shape[-1]
-    g = np.empty(w.shape[:-2] + (n, n + (n == 1)))  # room for _gram_block's zero column
-    for r in range(0, max(n, 1), step):  # n = 0 makes one empty block
-        if not np.isfinite(_gram_block(w, k, slice(r, r + step), g[..., r : r + step, :])).all():
-            raise NonFiniteValue("overflow encountered")
-    return g[..., :n]
+    w = _checked_window(window, k, (2, 3))
+    n = w.shape[-1]  # at n = 1 the result has room for _gram_block's zero column
+    g = _gram_block(w, k, slice(None), np.empty(w.shape[:-2] + (n, n + (n == 1))))
+    if not np.isfinite(g).all():
+        raise NonFiniteValue("overflow encountered")
+    return g
 
 
 _GRAM_MATRIX = gram_matrix
@@ -288,8 +286,9 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     global _tasks
     if gram_matrix is not _GRAM_MATRIX:
         return row_indicator(gram_matrix(window, k))
-    w, step = _checked_window(window, k, (2, 3))
+    w = _checked_window(window, k, (2, 3))
     n, start = w.shape[-1], time.perf_counter()
+    step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # the Gram rows a cap holds
     two = n > step and (_pace[1] <= _pace[0]) != (_pace[2] % 32 == 1)
     step = max(1, step // 2) if two else step
     sums, starts = np.empty(w.shape[:-2] + (n,)), iter(range(0, max(n, 1), step))
@@ -326,7 +325,7 @@ def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
     from the defining sum. Exists to cross-check the fast path and for
     nothing else.
     """
-    w, _ = _checked_window(window, k, (2,))
+    w = _checked_window(window, k, (2,))
     n = w.shape[1]
     g = np.zeros((n, n))
     for i in range(n):
@@ -357,16 +356,9 @@ def standardize_window(window: np.ndarray) -> np.ndarray:
 def row_indicator(matrix: np.ndarray) -> np.ndarray:
     """Per-variable indicator: sum of absolute values along each row (of each matrix of a stack).
 
-    Rows are summed in C order, a block within ``CHUNK_BYTES`` at a time, so a
-    row's sum depends on neither its neighbours nor the memory layout.
+    Rows are summed in C order, so a row's sum does not depend on the memory layout.
     """
-    m = np.ascontiguousarray(matrix, dtype=float)
-    rows = m.reshape(prod(m.shape[:-1]), m.shape[-1])
-    sums = np.empty(len(rows))
-    step = max(1, CHUNK_BYTES // max(1, rows[:1].nbytes))
-    for r in range(0, len(rows), step):
-        np.abs(rows[r : r + step]).sum(axis=-1, out=sums[r : r + step])
-    return sums.reshape(m.shape[:-1])
+    return np.abs(np.ascontiguousarray(matrix, dtype=float)).sum(axis=-1)
 
 
 def indicator_series(
@@ -463,6 +455,6 @@ def compare_modes(basic: IndicatorSeries, competency: IndicatorSeries) -> ModeCo
     Raises
     ------
     ConfigMismatch
-        If t_max, variable count, window settings, or defined periods differ.
+        If the variable count, window settings, or defined periods differ.
     """
     return ModeComparison(basic=basic, competency=competency)

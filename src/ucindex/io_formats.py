@@ -365,11 +365,6 @@ class ModeFixture:
     declared_total_competency: float
     declared_total_delta: float
 
-    @property
-    def periods(self) -> range:
-        """The table's periods, consecutive from 1."""
-        return range(1, len(self.basic) + 1)
-
 
 def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
     """Load the reference mode-comparison fixture (the shipped one by default).

@@ -96,18 +96,11 @@ def _rows(c: ModeComparison):
 
 def _render_text(table: ReportTable) -> list[str]:
     rows, totals = _rows(table.comparison)
-    header = ("t", "V_basic", "V_universal", "dV")
-    body = [(str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in rows]
-    footer = ("Total", *map(_fmt2, totals))
-    widths = [
-        max(len(header[col]), len(footer[col]), *(len(row[col]) for row in body))
-        for col in range(4)
-    ]
-    lines = ["  ".join(cell.rjust(widths[col]) for col, cell in enumerate(header))]
-    for row in body:
-        lines.append("  ".join(cell.rjust(widths[col]) for col, cell in enumerate(row)))
-    lines.append("  ".join(cell.rjust(widths[col]) for col, cell in enumerate(footer)))
-    return lines
+    cells = [("t", "V_basic", "V_universal", "dV"),
+             *((str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in rows),
+             ("Total", *map(_fmt2, totals))]
+    widths = [max(len(row[col]) for row in cells) for col in range(4)]
+    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in cells]
 
 
 def _render_csv(table: ReportTable) -> list[str]:

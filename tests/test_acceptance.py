@@ -304,7 +304,7 @@ def test_criterion_8_out_of_scope_run_replaced_by_stand_ins():
     # suite (criterion 3), and the invariant/scenario suites (criteria 4-7).
     fixture = load_mode_fixture()
     stand_ins_present = (
-        len(fixture.periods) == 57
+        len(fixture.basic) == 57
         and callable(gram_matrix_bruteforce)
         and reference_scenario().t_max == 57
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ucindex
-from ucindex import ProcessSeries
+from ucindex import ProcessSeries, indicator
 from ucindex.cli import cli_main
 from ucindex.io_formats import write_series_csv
 
@@ -133,7 +133,9 @@ class TestCompare:
             "--universal", str(longer), "--window", "4",
         ])
         assert code == 1
-        assert "ConfigMismatch" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: ConfigMismatch: defined periods differ: 5..20 vs 5..25\n"
+        )
 
     def test_compliance_derivation(self, small_series, tmp_path, capsys):
         compliance = tmp_path / "c.csv"
@@ -494,3 +496,21 @@ def test_start_up_and_small_windows_start_no_worker_thread(tmp_path):
         timeout=60, env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stderr == "0 False False 1\n"
+
+
+@pytest.mark.parametrize("n, extra", [(400, []), (4, ["--standardize"])],
+                         ids=["two-thread", "small"])
+def test_compare_never_calls_row_indicator(tmp_path, capsys, monkeypatch, n, extra):
+    # the CLI takes every indicator with window_indicator; only a rebound gram_matrix reaches
+    # row_indicator, which is therefore a plain reference with no memory bound of its own
+    def stub(matrix):
+        raise AssertionError("row_indicator called")
+
+    monkeypatch.setattr(indicator, "row_indicator", stub)
+    monkeypatch.setattr(indicator, "_pace", [1.0, 0.0, 0])  # two threads on wide windows
+    rng = np.random.default_rng(n)
+    for mode in ("basic", "universal"):
+        write_series(tmp_path / f"{mode}.csv", rng.uniform(1, 10, size=(n, 16)))
+    command = ["compare", "--basic", str(tmp_path / "basic.csv"),
+               "--universal", str(tmp_path / "universal.csv"), "--window", "12", *extra]
+    assert cli_main(command) == 0, capsys.readouterr().err

@@ -340,7 +340,6 @@ class TestScenarioJson:
 class TestModeFixture:
     def test_shipped_fixture_shape(self):
         fixture = load_mode_fixture()
-        assert fixture.periods == range(1, 58)
         assert len(fixture.basic) == 57
         assert fixture.declared_total_basic == 5069.93
         assert fixture.declared_total_competency == 5491.17
