@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from ._version import __version__
 from .competencies import DerivationRule, ResourceBudget, check_budget, derive_mode_series
@@ -35,9 +37,11 @@ from .indicator import (
     scalar_per_period,
 )
 from .io_formats import (
-    atomic_write_text,
+    atomic_write,
+    line_chunks,
     load_mode_fixture,
     metadata_lines,
+    numbered_rows,
     read_compliance_csv,
     read_costs_csv,
     read_scalar_csv,
@@ -47,7 +51,7 @@ from .io_formats import (
     write_scenario_json,
     write_series_csv,
 )
-from .report import ReportFormat, emit_plot_data, emit_report, window_metadata
+from .report import ReportFormat, build_report_table, emit_plot_data, report_chunks, window_metadata
 from .scenario import NOISE_ALGORITHM, generate_series, reference_scenario
 
 FIXTURE_TOLERANCE = 0.02  # the reference table is printed at 2 decimals
@@ -56,11 +60,12 @@ BASIC_LABEL = "basic"
 COMPETENCY_LABEL = "universal-competencies"
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        atomic_write_text(out, text)
+def _write_or_print(chunks: Iterable[str], out: str | None) -> None:
+    """Stream chunks to ``out`` or stdout; callers build what can fail before the chunks."""
+    if out is not None:
+        atomic_write(out, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
@@ -76,13 +81,12 @@ def cmd_indicator(args: argparse.Namespace) -> int:
     series = read_series_csv(args.series)
     config = WindowConfig(args.window, args.standardize, args.warmup)
     result = indicator_series(series, config, mode_label=args.label)
-    scalars = scalar_per_period(result)
-    lines = ["t," + ",".join(series.variable_labels) + ",scalar"]
-    for t, values, scalar in zip(result.periods, result.values.tolist(), scalars.tolist()):
-        lines.append(f"{t},{','.join(map(repr, values))},{scalar!r}")
-    lines += metadata_lines([("mode", result.mode_label), *window_metadata(result.config),
-                             ("total", repr(result.total))])
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    metadata = metadata_lines([("mode", result.mode_label), *window_metadata(result.config),
+                               ("total", repr(result.total))])
+    rows = numbered_rows(result.first_period, result.values, scalar_per_period(result))
+    lines = (f"{t},{','.join(map(repr, values))},{scalar!r}" for t, values, scalar in rows)
+    header = "t," + ",".join(series.variable_labels) + ",scalar"
+    _write_or_print(line_chunks(itertools.chain([header], lines, metadata)), args.out)
     return 0
 
 
@@ -99,14 +103,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     basic = indicator_series(basic_series, config, mode_label=BASIC_LABEL)
     competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
-    text = emit_report(comparison, args.format, derivation=derivation, stamp=args.stamp)
+    table = build_report_table(comparison, derivation=derivation, stamp=args.stamp)
     with staged_writes() as write:
-        if args.plot_data:
+        if args.plot_data is not None:
             emit_plot_data(comparison, args.plot_data, write)
-        if args.out:
-            write(args.out, text)
-    if not args.out:  # only once every file is in place
-        sys.stdout.write(text)
+        if args.out is not None:
+            write(args.out, report_chunks(table, args.format))
+    if args.out is None:  # only once every file is in place
+        sys.stdout.writelines(report_chunks(table, args.format))
     return 0
 
 
@@ -136,9 +140,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     first, basic_scalars, competency_scalars = read_scalar_csv(args.scalars)
     basic = ingest_precomputed(basic_scalars, BASIC_LABEL, first_period=first)
     competency = ingest_precomputed(competency_scalars, COMPETENCY_LABEL, first_period=first)
-    comparison = compare_modes(basic, competency)
-    text = emit_report(comparison, args.format, stamp=args.stamp)
-    _write_or_print(text, args.out)
+    table = build_report_table(compare_modes(basic, competency), stamp=args.stamp)
+    _write_or_print(report_chunks(table, args.format), args.out)
     return 0
 
 

@@ -442,7 +442,8 @@ def ingest_precomputed(
     NonFiniteValue
         If any value is NaN or infinite, or their total overflows.
     """
-    values = np.array(list(scalars), dtype=float)[:, np.newaxis]
+    scalars = scalars if isinstance(scalars, np.ndarray) else list(scalars)  # an array at once
+    values = np.asarray(scalars, dtype=float)[:, np.newaxis]
     return IndicatorSeries(first_period, values, None, mode_label)
 
 

@@ -6,7 +6,8 @@ are skipped by every reader. Numeric series values are written with
 ``repr`` precision so a write/read round trip reproduces them exactly.
 Writers go through a write-temp-then-rename step so a crash never leaves a
 half-written file behind; ``staged_writes`` extends that to a set of files
-that appear together or not at all.
+that appear together or not at all. A writer takes the text as chunks
+(``line_chunks``), so no output is ever held whole.
 
 Every reader decodes its file in ``_reading`` (errors name the file), and
 one table parser serves every CSV, with errors naming the physical line.
@@ -58,7 +59,32 @@ from .scenario import Scenario, ScenarioEvent
 _FIXTURE_RESOURCE = "mode_comparison_57.csv"
 _PLAIN_NUMBERS = "only plain ASCII numbers are allowed, without '_'"
 
-Writer = Callable[[str | Path, str], None]  # write(path, text), as staged_writes yields it
+Writer = Callable[[str | Path, Iterable[str]], None]  # write(path, chunks), as staged_writes has it
+CHUNK_BYTES = 1 << 20  # about this much text per written chunk, or Python floats per tolist
+
+
+def line_chunks(lines: Iterable[str]) -> Iterator[str]:
+    """The text of ``lines``, each ended by ``"\\n"``, in chunks of about CHUNK_BYTES characters."""
+    batch, size = [], 0
+    for line in lines:
+        batch.append(line)
+        size += len(line) + 1
+        if size >= CHUNK_BYTES:
+            yield "\n".join(batch) + "\n"
+            batch, size = [], 0
+    if batch:
+        yield "\n".join(batch) + "\n"
+
+
+def numbered_rows(first: int, *arrays: np.ndarray) -> Iterator[tuple]:
+    """``(first + r, row r of each array...)``: Python floats (1-D) or lists of them (2-D).
+
+    ``tolist`` converts a slice of rows at a time, about CHUNK_BYTES of floats at 32 bytes each.
+    """
+    step = max(1, CHUNK_BYTES // (32 * max(1, sum(a[:1].size for a in arrays))))
+    for start in range(0, len(arrays[0]), step):
+        rows = (a[start:start + step].tolist() for a in arrays)
+        yield from zip(itertools.count(first + start), *rows)
 
 
 @contextlib.contextmanager
@@ -72,26 +98,29 @@ def _naming(path: Path) -> Iterator[None]:
 
 @contextlib.contextmanager
 def staged_writes() -> Iterator[Writer]:
-    """Yield ``write(path, text)``; the files written in the block appear together or not at all.
+    """Yield ``write(path, chunks)``; the files written in the block appear together or not at all.
 
-    Each ``write`` puts its text at once into a temporary file in the
-    target's directory, under a fresh random name so concurrent writers never
-    share it; the umask gives it the mode a plain open() would. When the block
-    ends without an error, every target is first checked not to be a
+    Each ``write`` puts its text chunks, as they come, into a temporary file
+    in the target's directory, under a fresh random name so concurrent writers
+    never share it; the umask gives it the mode a plain open() would. When the
+    block ends without an error, every target is checked not to be a
     directory, then every temporary file is renamed over its target. On any
-    failure the temporary files not yet renamed are removed, so no target has
-    changed unless a rename itself failed. An OSError names the target.
+    failure (a chunk's own too) the temporary files not yet renamed are
+    removed, so no target has changed unless a rename itself failed. An
+    OSError names the target; an empty path is a missing file.
     """
     staged: list[tuple[Path, Path]] = []  # (temporary file, target), not yet renamed
 
-    def write(path: str | Path, text: str) -> None:
+    def write(path: str | Path, chunks: Iterable[str]) -> None:
+        if not os.fspath(path):  # Path("") would name the working directory
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
         path = Path(path)
         tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
         with _naming(path):
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             try:
                 with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-                    f.write(text)
+                    f.writelines(chunks)
             except BaseException:
                 os.unlink(tmp)
                 raise
@@ -112,13 +141,18 @@ def staged_writes() -> Iterator[Writer]:
             os.unlink(tmp)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to ``path`` as the one file of :func:`staged_writes`.
+def atomic_write(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write chunks of text to ``path`` as the one file of :func:`staged_writes`.
 
     If the write fails, the target is left as it was and no temporary file remains.
     """
     with staged_writes() as write:
-        write(path, text)
+        write(path, chunks)
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write one text to ``path`` through :func:`atomic_write`."""
+    atomic_write(path, (text,))
 
 
 @contextlib.contextmanager
@@ -269,7 +303,7 @@ def read_series_csv(path: str | Path) -> ProcessSeries:
 
 
 def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable[str] = (),
-                     write: Writer = atomic_write_text) -> None:
+                     write: Writer = atomic_write) -> None:
     """Write a process series at full (round-trip exact) precision.
 
     ``comments`` (lines from :func:`metadata_lines`) lead the file. A label
@@ -279,10 +313,9 @@ def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable
     for label in series.variable_labels:
         if "," in label or "#" in label or not _one_line(label):
             raise ParseError(f"variable label {label!r} contains a reserved character")
-    out = [*comments, "t," + ",".join(series.variable_labels)]
-    for t, row in enumerate(series.values.T.tolist(), start=1):
-        out.append(f"{t}," + ",".join(map(repr, row)))
-    write(path, "\n".join(out) + "\n")
+    header = "t," + ",".join(series.variable_labels)
+    rows = (f"{t}," + ",".join(map(repr, row)) for t, row in numbered_rows(1, series.values.T))
+    write(path, line_chunks(itertools.chain(comments, [header], rows)))
 
 
 def read_compliance_csv(path: str | Path) -> ComplianceMatrix:
@@ -340,12 +373,12 @@ def read_scenario_json(path: str | Path) -> Scenario:
 
 
 def write_scenario_json(path: str | Path, scenario: Scenario,
-                        write: Writer = atomic_write_text) -> None:
+                        write: Writer = atomic_write) -> None:
     """Write a scenario document; its keys are the Scenario and ScenarioEvent fields.
 
     ``write`` may be the writer of a :func:`staged_writes` block.
     """
-    write(path, json.dumps(dataclasses.asdict(scenario), indent=2) + "\n")
+    write(path, (json.dumps(dataclasses.asdict(scenario), indent=2) + "\n",))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,18 +4,21 @@ Reports are deterministic: identical comparisons render to byte-identical
 documents. Numbers in the table body are printed at two decimals; the CSV
 variant repeats every value at full round-trip precision in extra columns.
 A metadata block (fixed key order, no timestamps unless explicitly stamped)
-is appended as comment lines so a report is self-describing.
+is appended as comment lines so a report is self-describing. Outputs are
+rendered in text chunks, a slice of rows at a time, never as one text.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
-from .io_formats import Writer, atomic_write_text, metadata_lines
+from .io_formats import Writer, atomic_write, line_chunks, metadata_lines, numbered_rows
 
 
 class ReportFormat(str, Enum):
@@ -81,40 +84,41 @@ def _fmt2(x: float) -> str:
 
 def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TABLE) -> str:
     """Render a report table to text; see module docstring for the two formats."""
-    fmt = ReportFormat(fmt)
-    lines = _render_csv(table) if fmt is ReportFormat.CSV else _render_text(table)
-    lines.extend(table.metadata)
-    return "\n".join(lines) + "\n"
+    return "".join(report_chunks(table, fmt))
 
 
-def _rows(c: ModeComparison):
-    """Per-period (t, basic, competency, delta) rows and the three totals, as Python floats."""
-    rows = zip(c.periods, c.basic_scalars.tolist(), c.competency_scalars.tolist(),
-               c.delta_per_period.tolist())
-    return rows, (c.basic.total, c.competency.total, c.delta_total)
+def report_chunks(table: ReportTable,
+                  fmt: ReportFormat | str = ReportFormat.TABLE) -> Iterator[str]:
+    """The text of :func:`render_report`, in :func:`~ucindex.io_formats.line_chunks`."""
+    render = _render_csv if ReportFormat(fmt) is ReportFormat.CSV else _render_text
+    return line_chunks(itertools.chain(render(table.comparison), table.metadata))
 
 
-def _render_text(table: ReportTable) -> list[str]:
-    rows, totals = _rows(table.comparison)
-    cells = [("t", "V_basic", "V_universal", "dV"),
-             *((str(t), _fmt2(b), _fmt2(c), _fmt2(d)) for t, b, c, d in rows),
-             ("Total", *map(_fmt2, totals))]
-    widths = [max(len(row[col]) for row in cells) for col in range(4)]
-    return ["  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in cells]
+def _rows(c: ModeComparison, total: str) -> Iterator[tuple]:
+    """Per-period (t, basic, competency, delta) rows as Python floats, then the ``total`` row."""
+    yield from numbered_rows(c.periods[0], c.basic_scalars, c.competency_scalars,
+                             c.delta_per_period)
+    yield total, c.basic.total, c.competency.total, c.delta_total
 
 
-def _render_csv(table: ReportTable) -> list[str]:
-    rows, (tb, tc, td) = _rows(table.comparison)
-    lines = [
-        "t,basic,universal_competencies,delta,"
-        "basic_full,universal_competencies_full,delta_full"
-    ]
-    for t, b, c, d in rows:
-        lines.append(
-            f"{t},{_fmt2(b)},{_fmt2(c)},{_fmt2(d)},{b!r},{c!r},{d!r}"
-        )
-    lines.append(f"total,{_fmt2(tb)},{_fmt2(tc)},{_fmt2(td)},{tb!r},{tc!r},{td!r}")
-    return lines
+def _render_text(c: ModeComparison) -> Iterator[str]:
+    # A column's widest cell is its header, its total or the cell of its smallest or largest
+    # value: correctly rounded .2f is monotone, and -0.00 printed as 0.00 only shortens a cell.
+    columns = (c.basic_scalars, c.competency_scalars, c.delta_per_period)
+    low = (str(c.periods[0]), *(_fmt2(float(a.min())) for a in columns))
+    high = (str(c.periods[-1]), *(_fmt2(float(a.max())) for a in columns))
+    footer = ("Total", *map(_fmt2, (c.basic.total, c.competency.total, c.delta_total)))
+    header = ("t", "V_basic", "V_universal", "dV")
+    widths = [max(map(len, cells)) for cells in zip(header, low, high, footer)]
+    rows = ((str(t), *map(_fmt2, values)) for t, *values in _rows(c, "Total"))
+    for row in itertools.chain([header], rows):
+        yield "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+
+
+def _render_csv(c: ModeComparison) -> Iterator[str]:
+    yield "t,basic,universal_competencies,delta,basic_full,universal_competencies_full,delta_full"
+    for t, b, m, d in _rows(c, "total"):
+        yield f"{t},{_fmt2(b)},{_fmt2(m)},{_fmt2(d)},{b!r},{m!r},{d!r}"
 
 
 def emit_report(
@@ -128,7 +132,7 @@ def emit_report(
 
 
 def emit_plot_data(comparison: ModeComparison, path: str | Path,
-                   write: Writer = atomic_write_text) -> None:
+                   write: Writer = atomic_write) -> None:
     """Write per-period scalars as a bare three-column full-precision CSV.
 
     Output is header ``t,basic,universal_competencies`` plus one row per
@@ -136,7 +140,7 @@ def emit_plot_data(comparison: ModeComparison, path: str | Path,
     through the scalar-CSV reader for re-reporting. ``write`` may be the
     writer of a :func:`~ucindex.io_formats.staged_writes` block.
     """
-    lines = ["t,basic,universal_competencies"]
-    for t, b, c, _ in _rows(comparison)[0]:
-        lines.append(f"{t},{b!r},{c!r}")
-    write(path, "\n".join(lines) + "\n")
+    c = comparison
+    rows = numbered_rows(c.periods[0], c.basic_scalars, c.competency_scalars)
+    lines = (f"{t},{b!r},{m!r}" for t, b, m in rows)
+    write(path, line_chunks(itertools.chain(["t,basic,universal_competencies"], lines)))

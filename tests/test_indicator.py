@@ -974,6 +974,15 @@ class TestIngestPrecomputed:
         with pytest.raises(NegativeIndicator):
             ingest_precomputed([1.0, -0.1], "basic")
 
+    def test_an_array_converts_without_iterating_it(self):
+        class NoIteration(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("iterated element by element")
+
+        series = ingest_precomputed(np.array([1.0, 2.5]).view(NoIteration), "basic", first_period=4)
+        assert series.values.tolist() == [[1.0], [2.5]]
+        assert series.periods == range(4, 6)
+
     def test_fixture_totals_within_published_rounding(self):
         fixture = load_mode_fixture()
         basic = ingest_precomputed(fixture.basic, "basic")
