@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import os
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -38,15 +39,14 @@ from .indicator import (
 )
 from .io_formats import (
     atomic_write,
-    line_chunks,
     load_mode_fixture,
     metadata_lines,
-    numbered_rows,
     read_compliance_csv,
     read_costs_csv,
     read_scalar_csv,
     read_scenario_json,
     read_series_csv,
+    row_chunks,
     staged_writes,
     write_scenario_json,
     write_series_csv,
@@ -83,10 +83,10 @@ def cmd_indicator(args: argparse.Namespace) -> int:
     result = indicator_series(series, config, mode_label=args.label)
     metadata = metadata_lines([("mode", result.mode_label), *window_metadata(result.config),
                                ("total", repr(result.total))])
-    rows = numbered_rows(result.first_period, result.values, scalar_per_period(result))
-    lines = (f"{t},{','.join(map(repr, values))},{scalar!r}" for t, values, scalar in rows)
-    header = "t," + ",".join(series.variable_labels) + ",scalar"
-    _write_or_print(line_chunks(itertools.chain([header], lines, metadata)), args.out)
+    header = "t," + ",".join(series.variable_labels) + ",scalar\n"
+    rows = row_chunks(result.first_period, lambda t, v, s: f"{t},{','.join(map(repr, v))},{s!r}",
+                      result.values, scalar_per_period(result))
+    _write_or_print(itertools.chain([header], rows, ["\n".join(metadata) + "\n"]), args.out)
     return 0
 
 
@@ -122,8 +122,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         basic, competency = generate_series(scenario)
     except (MemoryError, ValueError) as exc:  # too large to allocate, or to index
         raise InvalidScenario(f"{scenario.n} x {scenario.t_max} values do not fit: {exc}") from None
+    os.makedirs(args.out_dir, exist_ok=True)  # "" raises, where Path("") would name "."
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     metadata = [("seed", str(scenario.seed)), ("noise", NOISE_ALGORITHM)]
     with staged_writes() as write:
         write_scenario_json(out_dir / "scenario.json", scenario, write)

@@ -57,11 +57,13 @@ INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on one chunk's Gram stack (p x n x n) and window stack (p x k x n), and on the row
-# blocks that window_indicator holds of a larger Gram matrix, never the whole matrix: a chunk has
-# p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from n = 257 on),
-# a block max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000; 65 on each of two threads, which
-# share the cap). A 4 MiB cap (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# Byte cap on the work held at once, and on each slice of output rows (io_formats.row_chunks). A
+# chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from
+# n = 257 on) keeps its window stack (p x k x n) within the cap, and the n keeps the stack's Gram
+# rows to one block, which keeps every stack on the calling thread. window_indicator forms a
+# larger Gram matrix in blocks of max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000; 65 on each
+# of two threads, which share the cap), never whole. A 4 MiB cap (the L2 size) raised
+# ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
-from .io_formats import Writer, atomic_write, line_chunks, metadata_lines, numbered_rows
+from .io_formats import Writer, atomic_write, metadata_lines, row_chunks
 
 
 class ReportFormat(str, Enum):
@@ -89,16 +89,9 @@ def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TAB
 
 def report_chunks(table: ReportTable,
                   fmt: ReportFormat | str = ReportFormat.TABLE) -> Iterator[str]:
-    """The text of :func:`render_report`, in :func:`~ucindex.io_formats.line_chunks`."""
+    """The text of :func:`render_report`: the header, each slice of rows, the total, the metadata."""
     render = _render_csv if ReportFormat(fmt) is ReportFormat.CSV else _render_text
-    return line_chunks(itertools.chain(render(table.comparison), table.metadata))
-
-
-def _rows(c: ModeComparison, total: str) -> Iterator[tuple]:
-    """Per-period (t, basic, competency, delta) rows as Python floats, then the ``total`` row."""
-    yield from numbered_rows(c.periods[0], c.basic_scalars, c.competency_scalars,
-                             c.delta_per_period)
-    yield total, c.basic.total, c.competency.total, c.delta_total
+    return itertools.chain(render(table.comparison), ["\n".join(table.metadata) + "\n"])
 
 
 def _render_text(c: ModeComparison) -> Iterator[str]:
@@ -110,15 +103,21 @@ def _render_text(c: ModeComparison) -> Iterator[str]:
     footer = ("Total", *map(_fmt2, (c.basic.total, c.competency.total, c.delta_total)))
     header = ("t", "V_basic", "V_universal", "dV")
     widths = [max(map(len, cells)) for cells in zip(header, low, high, footer)]
-    rows = ((str(t), *map(_fmt2, values)) for t, *values in _rows(c, "Total"))
-    for row in itertools.chain([header], rows):
-        yield "  ".join(cell.rjust(width) for cell, width in zip(row, widths))
+    row = "  ".join(f"{{:>{width}}}" for width in widths).format  # rjust each cell to its width
+    yield row(*header) + "\n"
+    yield from row_chunks(c.periods[0], lambda t, *values: row(t, *map(_fmt2, values)), *columns)
+    yield row(*footer) + "\n"
+
+
+def _csv_row(t, b: float, m: float, d: float) -> str:
+    return f"{t},{_fmt2(b)},{_fmt2(m)},{_fmt2(d)},{b!r},{m!r},{d!r}"
 
 
 def _render_csv(c: ModeComparison) -> Iterator[str]:
-    yield "t,basic,universal_competencies,delta,basic_full,universal_competencies_full,delta_full"
-    for t, b, m, d in _rows(c, "total"):
-        yield f"{t},{_fmt2(b)},{_fmt2(m)},{_fmt2(d)},{b!r},{m!r},{d!r}"
+    yield "t,basic,universal_competencies,delta,basic_full,universal_competencies_full,delta_full\n"
+    yield from row_chunks(c.periods[0], _csv_row, c.basic_scalars, c.competency_scalars,
+                          c.delta_per_period)
+    yield _csv_row("total", c.basic.total, c.competency.total, c.delta_total) + "\n"
 
 
 def emit_report(
@@ -141,6 +140,5 @@ def emit_plot_data(comparison: ModeComparison, path: str | Path,
     writer of a :func:`~ucindex.io_formats.staged_writes` block.
     """
     c = comparison
-    rows = numbered_rows(c.periods[0], c.basic_scalars, c.competency_scalars)
-    lines = (f"{t},{b!r},{m!r}" for t, b, m in rows)
-    write(path, line_chunks(itertools.chain(["t,basic,universal_competencies"], lines)))
+    rows = row_chunks(c.periods[0], "{},{!r},{!r}".format, c.basic_scalars, c.competency_scalars)
+    write(path, itertools.chain(["t,basic,universal_competencies\n"], rows))

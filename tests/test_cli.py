@@ -269,6 +269,14 @@ class TestSimulate:
         assert captured.out == ""
         assert [p.name for p in out_dir.iterdir()] == ["universal.csv"]
 
+    def test_empty_out_dir_is_a_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # Path("") is the working directory: nothing may land here
+        assert cli_main(["simulate", "--out-dir", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: FileNotFoundError: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def check_one_error_line_and_no_output(self, capsys, out_dir, code):
         assert code == 1
         captured = capsys.readouterr()

@@ -21,17 +21,17 @@ from ucindex.indicator import WindowConfig, indicator_series, scalar_per_period
 from ucindex.io_formats import (
     CHUNK_BYTES,
     atomic_write,
-    line_chunks,
     metadata_lines,
     read_scalar_csv,
     read_series_csv,
+    row_chunks,
     staged_writes,
     write_series_csv,
 )
 from ucindex.report import _fmt2, build_report_table, report_chunks, window_metadata
 
 SCALAR_HEADER = "t,basic,universal_competencies"
-# rows whose report text crosses a chunk boundary once (two chunks) or several times
+# rows whose report text crosses a slice boundary once (two row slices) or several times
 ROWS = {("csv", "once"): 12_000, ("csv", "several"): 40_000,
         ("table", "once"): 20_000, ("table", "several"): 50_000}
 
@@ -76,23 +76,27 @@ def labelled(values: np.ndarray) -> ProcessSeries:
     return ProcessSeries(values, tuple(f"v{i}" for i in range(len(values))))
 
 
-class TestLineChunks:
+class TestRowChunks:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.text(alphabet="ab,", max_size=40), min_size=1, max_size=60),
-           st.integers(1, 64))
-    def test_chunks_join_to_the_lines_and_end_at_line_ends(self, lines, size):
-        with mock.patch.object(io_formats, "CHUNK_BYTES", size):
-            chunks = list(line_chunks(lines))
-        assert "".join(chunks) == "\n".join(lines) + "\n"
-        longest = max(map(len, lines)) + 1
-        for chunk in chunks:
-            assert chunk.endswith("\n")
-        for chunk in chunks[:-1]:
-            assert size <= len(chunk) < size + longest
+    @given(st.integers(0, 20), st.integers(1, 3), st.integers(1, 5), st.integers(1, 99))
+    def test_each_chunk_is_one_slice_of_numbered_rows(self, rows, width, step, first):
+        values = np.arange(rows * width, dtype=float).reshape(rows, width) / 3  # a list a row
+        column = -np.arange(rows, dtype=float)  # a float a row
+        with mock.patch.object(io_formats, "CHUNK_BYTES", 32 * (width + 1) * step):
+            chunks = list(row_chunks(first, lambda t, row, x: f"{t}:{row}:{x!r}", values, column))
+        lines = [f"{first + r}:{row}:{x!r}"
+                 for r, (row, x) in enumerate(zip(values.tolist(), column.tolist()))]
+        assert chunks == ["\n".join(lines[s:s + step]) + "\n" for s in range(0, rows, step)]
 
-    def test_a_long_line_is_never_split(self):
-        line = "x" * (3 * CHUNK_BYTES)
-        assert list(line_chunks(["a", line, "b"])) == [f"a\n{line}\n", "b\n"]
+    def test_zero_rows_give_no_chunk(self):
+        assert list(row_chunks(1, "{}:{}".format, np.empty((0, 3)))) == []
+        assert list(row_chunks(1, "{}:{}:{}".format, np.empty(0), np.empty(0))) == []
+
+    def test_the_cap_is_floats_at_32_bytes(self):
+        rows = CHUNK_BYTES // 32
+        chunks = list(row_chunks(1, "{}".format, np.zeros(2 * rows + 1)))
+        assert [chunk.count("\n") for chunk in chunks] == [rows, rows, 1]
+        assert chunks[2] == f"{2 * rows + 1}\n"
 
 
 class TestStreamedReportBytes:
@@ -104,7 +108,8 @@ class TestStreamedReportBytes:
         table = build_report_table(comparison)
         expected = joined_report(comparison, fmt, table.metadata)
         chunks = list(report_chunks(table, fmt))
-        assert len(chunks) == 2 if crossings == "once" else len(chunks) > 3
+        slices = len(chunks) - 3  # the rest: the header, the total row and the metadata
+        assert slices == 2 if crossings == "once" else slices > 3
         assert emit_report(comparison, fmt) == expected
         assert cli_main(["report", str(scalars), "--format", fmt, "--out", str(out)]) == 0
         assert out.read_bytes() == expected.encode()
