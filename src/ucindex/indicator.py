@@ -13,13 +13,16 @@ products in ascending lag order, so R is bit-identical to the defining loop
 in :func:`gram_matrix_bruteforce`, and symmetric with no mirroring step (IEEE
 multiplication commutes, and the products for (i, j) and (j, i) are added in
 the same order). That order belongs to numpy's ``einsum``; the strict tests
-pin it with ``np.array_equal``, for single windows, stacks and row blocks, so
-a numpy that changes it fails the tests instead of shifting results. A
-period's values thus depend on none of how the work is cut: its chunk of
-periods, the row blocks of R, or the thread that sums a block. The indicator
-path (:func:`window_indicator`) never holds the n x n matrix; past one block,
-it may share the blocks and the byte cap with one worker thread. Its plain
-reference, ``row_indicator(gram_matrix(window, k))``, holds R whole.
+pin it with ``np.array_equal``, for single windows, stacks and tiles, so a
+numpy that changes it fails the tests instead of shifting results. The
+indicator path (:func:`window_indicator`) forms R's upper triangle alone, in
+tiles of rows, on the calling thread, and never holds the n x n matrix. Each
+row's sum of absolute values is added in a fixed tile order, which the cap
+fixes, so a period's values depend on none of how the periods are chunked. A
+matrix of one tile (n <= 362, and every stack that indicator_series forms)
+gets the bits of its plain reference, ``row_indicator(gram_matrix(window,
+k))``, which holds R whole; the strict tests hold wider ones bit for bit to a
+tile-order reference.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -34,12 +37,9 @@ and the negated basic values, so large, nearly equal modes do not cancel.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
-from typing import Iterable
 
 import numpy as np
 
@@ -60,10 +60,9 @@ MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 # Byte cap on the work held at once, and on each slice of output rows (io_formats.row_chunks). A
 # chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from
 # n = 257 on) keeps its window stack (p x k x n) within the cap, and the n keeps the stack's Gram
-# rows to one block, which keeps every stack on the calling thread. window_indicator forms a
-# larger Gram matrix in blocks of max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000; 65 on each
-# of two threads, which share the cap), never whole. A 4 MiB cap (the L2 size) raised
-# ledger-long's peak RSS 38.6 -> 46.2 MB.
+# rows to one tile. window_indicator forms a larger Gram matrix in tiles of
+# max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000), one at a time, never whole. A 4 MiB cap
+# (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -203,7 +202,7 @@ def _raise_non_finite(error: str, flag: int) -> None:
     raise NonFiniteValue(f"{error} encountered")
 
 
-# a decorator only: numpy sets the state per call and per thread, so a worker's code needs its own
+# a decorator only: numpy sets the state per call and per thread
 _finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
 
 
@@ -250,71 +249,33 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
 
 
 _GRAM_MATRIX = gram_matrix
-_lock = threading.Lock()  # so that two first callers start one worker, and no timing is lost
-_tasks = None  # the worker's queue, made with it by the first window it shares
-_pace = [np.inf, np.inf, 0]  # smoothed seconds per p k n^2 on one thread, on two; wide windows
 
 
-@_finite  # on the worker too: np.errstate does not reach a thread from the one that set it
-def _abs_row_sums(w: np.ndarray, k: int, starts: Iterable[int], step: int, sums: np.ndarray,
-                  out: np.ndarray) -> None:
-    """Fill ``sums`` from r to r + step for each start r, a Gram row block at a time in ``out``."""
-    for r in starts:
-        block = _gram_block(w, k, slice(r, r + step), out[..., : sums.shape[-1] - r, :])
-        np.abs(block, out=block).sum(axis=-1, out=sums[..., r : r + step])
-
-
-def _serve(tasks) -> None:
-    """The worker thread: run each task it is given, and hand back None or what it raised."""
-    while True:
-        done, *task = tasks.get()
-        try:
-            task = _abs_row_sums(*task)  # None: the arrays are let go before the caller wakes
-        except BaseException as exc:  # any, so the caller is never left waiting
-            task = exc
-        done.put(task)
-
-
+@_finite
 def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
-    """``row_indicator(gram_matrix(window, k))``, bit for bit, from row blocks: no n x n matrix.
+    """``row_indicator(gram_matrix(window, k))`` from R's upper triangle alone, on the calling
+    thread, with no n x n matrix: its bits for one tile, its sums in tile order past one.
 
-    Past one block, the caller and one worker thread each take the next block of half a cap's
-    rows until none is left, unless one thread has lately been faster per unit of work (each
-    32nd such window tries the other way). Raises as :func:`gram_matrix`, the caller's error
-    first: a NaN or infinite entry makes its row's sum non-finite, so one check of the sums
-    catches every overflow. A ``gram_matrix`` rebound in this module alone
-    (``perfbench/selftest.py`` swaps in a drifting kernel) is used as given, on the caller.
+    Tile r is rows r to r + step of R against columns r to n, for the step rows a cap holds. The
+    absolute values of its entries are added to its rows, and those right of its diagonal block
+    also to the rows they mirror, as column sums. Raises as :func:`gram_matrix`: a NaN or
+    infinite entry makes a sum non-finite, so one check of the sums catches every overflow. A
+    ``gram_matrix`` rebound in this module alone (``perfbench/selftest.py`` swaps in a drifting
+    kernel) is used as given.
     """
-    global _tasks
     if gram_matrix is not _GRAM_MATRIX:
         return row_indicator(gram_matrix(window, k))
     w = _checked_window(window, k, (2, 3))
-    n, start = w.shape[-1], time.perf_counter()
+    n, stack = w.shape[-1], w.shape[:-2]
     step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # the Gram rows a cap holds
-    two = n > step and (_pace[1] <= _pace[0]) != (_pace[2] % 32 == 1)
-    step = max(1, step // 2) if two else step
-    sums, starts = np.empty(w.shape[:-2] + (n,)), iter(range(0, max(n, 1), step))
-    first, *second = np.empty((1 + two,) + w.shape[:-2] + (min(step, n), n + (n == 1)))
-    if two:
-        import queue  # here, so start-up and small windows never load it
-
-        with _lock:
-            if _tasks is None:  # set once the worker runs, so a failed start leaves no queue
-                tasks = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(tasks,), name="ucindex", daemon=True).start()
-                _tasks = tasks
-        done, start = queue.SimpleQueue(), time.perf_counter()  # the worker's start is not timed
-        _tasks.put((done, w, k, starts, step, sums, *second))  # next() on starts is atomic
-    try:
-        _abs_row_sums(w, k, starts, step, sums, first)
-    finally:  # the worker is always joined
-        error = done.get() if two else None
-    if error is not None:
-        raise error
-    if two or n > step:
-        with _lock:
-            _pace[2], seconds = _pace[2] + 1, (time.perf_counter() - start) / (w.size * n)
-            _pace[two] = seconds if _pace[two] == np.inf else (_pace[two] + seconds) / 2
+    sums = np.zeros(stack + (n,))
+    for r in range(0, n, step):  # C-ordered columns r.., and room for _gram_block's zero column
+        tile = _gram_block(np.ascontiguousarray(w[..., r:]), k, slice(0, step),
+                           np.empty(stack + (min(step, n - r), n - r + (n - r == 1))))
+        np.abs(tile, out=tile)
+        sums[..., r : r + step] += tile.sum(axis=-1)
+        sums[..., r + step :] += tile[..., step:].sum(axis=-2)
+        del tile  # freed before the next tile's buffer is taken: one cap is held at a time
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums

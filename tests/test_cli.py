@@ -486,15 +486,16 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_start_up_and_small_windows_start_no_worker_thread(tmp_path):
-    # the worker thread and its queue are made only for a Gram matrix of two or more row blocks
+    # no CLI path starts a thread or loads queue: not start-up, a small window or one of two tiles
     rng = np.random.default_rng(7)
-    for mode in ("basic", "universal"):
-        write_series(tmp_path / f"{mode}.csv", rng.uniform(1, 10, size=(24, 40)))
+    for prefix, n, t in (("", 24, 40), ("wide-", 400, 16)):
+        for mode in ("basic", "universal"):
+            write_series(tmp_path / f"{prefix}{mode}.csv", rng.uniform(1, 10, size=(n, t)))
     script = (
         "import sys, threading\n"
         "import ucindex.cli\n"
-        "code = ucindex.cli.cli_main(['compare', '--basic', 'basic.csv', '--universal',"
-        " 'universal.csv', '--window', '12'])\n"
+        "code = max(ucindex.cli.cli_main(['compare', '--basic', p + 'basic.csv', '--universal',"
+        " p + 'universal.csv', '--window', '12']) for p in ('', 'wide-'))\n"
         "print(code, 'concurrent.futures' in sys.modules, 'queue' in sys.modules,"
         " threading.active_count(), file=sys.stderr)\n"
     )
@@ -507,7 +508,7 @@ def test_start_up_and_small_windows_start_no_worker_thread(tmp_path):
 
 
 @pytest.mark.parametrize("n, extra", [(400, []), (4, ["--standardize"])],
-                         ids=["two-thread", "small"])
+                         ids=["multi-tile", "small"])
 def test_compare_never_calls_row_indicator(tmp_path, capsys, monkeypatch, n, extra):
     # the CLI takes every indicator with window_indicator; only a rebound gram_matrix reaches
     # row_indicator, which is therefore a plain reference with no memory bound of its own
@@ -515,7 +516,6 @@ def test_compare_never_calls_row_indicator(tmp_path, capsys, monkeypatch, n, ext
         raise AssertionError("row_indicator called")
 
     monkeypatch.setattr(indicator, "row_indicator", stub)
-    monkeypatch.setattr(indicator, "_pace", [1.0, 0.0, 0])  # two threads on wide windows
     rng = np.random.default_rng(n)
     for mode in ("basic", "universal"):
         write_series(tmp_path / f"{mode}.csv", rng.uniform(1, 10, size=(n, 16)))

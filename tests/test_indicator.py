@@ -1,16 +1,9 @@
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import threading
-import time
 import tracemalloc
-import types
 import warnings
 from fractions import Fraction
 from math import fsum
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +110,8 @@ def record_kernel_calls(monkeypatch) -> list[tuple[str, range]]:
 
 
 def per_period_values(series: ProcessSeries, config: WindowConfig, gram, periods=None) -> np.ndarray:
-    """Indicator rows from one 2-D window per period, with ``gram`` forming each matrix."""
+    """Indicator rows from one 2-D window per period, with ``gram`` forming each matrix; its row
+    sums are added in the kernel's tile order."""
     first = (2 if config.warmup is Warmup.SHRINK else config.k) + 1
     rows = []
     for t in periods or range(first, series.t_max + 1):
@@ -125,7 +119,7 @@ def per_period_values(series: ProcessSeries, config: WindowConfig, gram, periods
         window = slice_window(series, t, k)
         if config.standardize:
             window = standardize_window(window)
-        rows.append(row_indicator(gram(window, k)))
+        rows.append(tile_order_indicator(window, k, gram))
     return np.array(rows)
 
 
@@ -341,16 +335,37 @@ def row_block_windows(n: int) -> dict[str, np.ndarray]:
     }
 
 
+def tile_order_indicator(window: np.ndarray, k: int, gram=gram_matrix) -> np.ndarray:
+    """The sums of :func:`window_indicator`, in its order, from the whole of |``gram(window, k)``|:
+    tiles of the rows its cap holds, each row's own part added after the column sums of earlier
+    tiles right of their diagonal blocks. One tile is ``row_indicator``'s sum."""
+    entries = gram(window, k)
+    n = entries.shape[-1]
+    rows = max(1, indicator.CHUNK_BYTES // max(1, 8 * np.asarray(window)[..., :1, :].size))
+    if rows >= n:
+        return row_indicator(entries)
+    entries, sums = np.abs(entries), np.zeros(entries.shape[:-1])
+    for r in range(0, n, rows):
+        end = min(r + rows, n)
+        below = entries[..., r, end:].copy()  # row by row down the tile, as the kernel sums them
+        for i in range(r + 1, end):
+            below += entries[..., i, end:]
+        sums[..., r:end] += entries[..., r:end, r:].sum(axis=-1)
+        sums[..., end:] += below
+    return sums
+
+
 @pytest.mark.parametrize("n", range(1, 41))
 def test_window_indicator_row_blocks_are_bit_identical(monkeypatch, n):
-    cap_rows(monkeypatch, 3, 8 * n)  # several blocks from n = 4 on, the last one ragged
+    # several tiles from n = 4 on, the last one ragged; at n = 3 m + 1 it has one column
+    cap_rows(monkeypatch, 3, 8 * n)
     windows = row_block_windows(n)
     for name, window in windows.items():
-        expected = row_indicator(gram_matrix(window, 12))
+        expected = tile_order_indicator(window, 12)
         assert np.array_equal(window_indicator(window, 12), expected), name
     stack = np.stack(list(windows.values()))
     cap_rows(monkeypatch, 3, 8 * len(stack) * n)  # three rows of every slice
-    assert np.array_equal(window_indicator(stack, 12), row_indicator(gram_matrix(stack, 12)))
+    assert np.array_equal(window_indicator(stack, 12), tile_order_indicator(stack, 12))
 
 
 @pytest.mark.parametrize("name", STRICT_STACKS)
@@ -360,8 +375,8 @@ def test_window_indicator_of_a_stack_is_bit_identical(monkeypatch, name):
     assert np.array_equal(window_indicator(stack, k), expected)
     for i, window in enumerate(stack):
         assert np.array_equal(window_indicator(window, k), expected[i])
-    cap_rows(monkeypatch, 3, 8 * len(stack) * stack.shape[-1])
-    assert np.array_equal(window_indicator(stack, k), expected)
+    cap_rows(monkeypatch, 3, 8 * len(stack) * stack.shape[-1])  # 40 = 3 * 13 + 1 columns
+    assert np.array_equal(window_indicator(stack, k), tile_order_indicator(stack, k))
 
 
 def late_overflow(kind: str) -> np.ndarray:
@@ -376,7 +391,37 @@ def late_overflow(kind: str) -> np.ndarray:
     return window
 
 
+def at_both_ends(kind: str) -> np.ndarray:
+    """``late_overflow(kind)`` with the overflow of Gram rows 38 and 39 copied to rows 0 and 1."""
+    window = late_overflow(kind)
+    window[:, :2] = window[:, 38:]
+    return window
+
+
+def in_the_last_block(kind: str) -> np.ndarray:
+    """``late_overflow(kind)``, but a finite row-sum overflow in row 39 alone (1.9e308 there,
+    1.71e308 in row 38), so that in tiles of three rows only the last tile's sum overflows."""
+    window = late_overflow(kind)
+    if kind == "row-sum":
+        window[0, 38:] = [0.9e154, 1e154]
+    return window
+
+
+def beside_an_earlier_tile(kind: str) -> np.ndarray:
+    """A 2 x 40 window whose Gram entry (1, 39) overflows as ``kind`` says. In tiles of three
+    rows it lies right of the first tile's diagonal block, so only that tile's column sums take
+    it to row 39. Under "row-sum" row 39 alone overflows: 0.72e308 from there, 1.44e308 from
+    its own tile."""
+    window = np.ones((2, 40))
+    window[:, [1, 39]] = {"same-sign": [[1e200, 1e200], [1, 1]],
+                          "inf-minus-inf": [[1e200, 1e200], [1e200, -1e200]],
+                          "row-sum": [[0.6e154, 1.2e154], [1, 1]]}[kind]
+    return window
+
+
 OVERFLOWS = ("same-sign", "inf-minus-inf", "row-sum")
+PLACES = {"late": late_overflow, "both-ends": at_both_ends, "last-tile": in_the_last_block,
+          "beside-an-earlier-tile": beside_an_earlier_tile}
 
 
 class TestWindowIndicator:
@@ -389,6 +434,20 @@ class TestWindowIndicator:
         cap_rows(monkeypatch, 3, window[..., :1, :].nbytes)  # row 39 forms the last of 14 blocks
         with pytest.raises(NonFiniteValue, match="overflow"):
             window_indicator(window, 2)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["window", "stack"])
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    @pytest.mark.parametrize("place", PLACES)
+    def test_overflow_in_any_tile_is_non_finite_value(self, monkeypatch, place, kind, stacked):
+        window = PLACES[place](kind)
+        if stacked:
+            window = np.stack([np.ones((2, 40)), window])
+        cap_rows(monkeypatch, 3, window[..., :1, :].nbytes)  # 14 tiles, the last one 1 x 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in ("raise", "ignore"):
+                with np.errstate(all=state), pytest.raises(NonFiniteValue, match="^overflow"):
+                    window_indicator(window, 2)
 
     def test_overflow_is_non_finite_value_under_a_raising_errstate(self):
         with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
@@ -403,6 +462,36 @@ class TestWindowIndicator:
         with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
             indicator_series(labelled(values), config, "spiked")
 
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    @pytest.mark.parametrize("place", PLACES)
+    def test_overflow_in_any_tile_names_the_period(self, monkeypatch, place, kind):
+        cap_rows(monkeypatch, 3, 8 * 40)  # one period a chunk, 14 tiles a Gram matrix
+        values = np.random.default_rng(8).uniform(1, 10, size=(40, 12))
+        values[:, :2] = PLACES[place](kind).T  # periods 1 and 2: the first window under SHRINK
+        config = WindowConfig(k=3, warmup=Warmup.SHRINK)
+        with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
+            indicator_series(labelled(values), config, "spiked")
+
+    @pytest.mark.parametrize("n", [363, 500, 1000])
+    def test_uncapped_windows_are_bit_identical(self, n):
+        # 363 variables are the fewest that one 1 MiB tile cannot hold
+        windows = row_block_windows(n)
+        for name, window in windows.items():
+            expected = tile_order_indicator(window, 12)
+            assert np.array_equal(window_indicator(window, 12), expected), name
+
+    def test_memory_is_one_cap_and_freed_on_return(self):
+        # each tile's buffer is allocated within the cap and freed before the next one
+        window = np.random.default_rng(5).uniform(1, 10, size=(12, 1000))
+        tracemalloc.start()
+        try:
+            sums = window_indicator(window, 12)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= indicator.CHUNK_BYTES + sums.nbytes + 64 * 2**10
+        assert held <= sums.nbytes + 64 * 2**10
+
     def test_a_rebound_gram_matrix_is_used(self, monkeypatch):
         # perfbench/selftest.py swaps a drifting kernel in this way and expects the output to move
         series = labelled(np.random.default_rng(6).uniform(1, 10, size=(5, 30)))
@@ -416,7 +505,7 @@ class TestWindowIndicator:
         assert window_indicator(window, 3).shape == (0,)
 
     def test_indicator_series_holds_no_gram_matrix(self):
-        # at n = 1000 one Gram matrix is 8 MB; the kernel holds one row block of at most 1 MiB
+        # at n = 1000 one Gram matrix is 8 MB; the kernel holds one tile of at most 1 MiB
         series = labelled(np.random.default_rng(5).uniform(1, 10, size=(1000, 16)))
         tracemalloc.start()
         try:
@@ -426,303 +515,6 @@ class TestWindowIndicator:
             tracemalloc.stop()
         assert result.values.shape == (4, 1000)
         assert peak < 3 * 2**20
-
-
-def at_both_ends(kind: str) -> np.ndarray:
-    """``late_overflow(kind)`` with the overflow of Gram rows 38 and 39 copied to rows 0 and 1."""
-    window = late_overflow(kind)
-    window[:, :2] = window[:, 38:]
-    return window
-
-
-def in_the_last_block(kind: str) -> np.ndarray:
-    """``late_overflow(kind)``, but a finite row-sum overflow in row 39 alone (1.9e308 there,
-    1.71e308 in row 38), so a thread that sums every block but the last meets none."""
-    window = late_overflow(kind)
-    if kind == "row-sum":
-        window[0, 38:] = [0.9e154, 1e154]
-    return window
-
-
-class Halt(BaseException):
-    """Not an Exception, as a worker may also meet."""
-
-
-def record_threads(monkeypatch, fail=(), caller_delay=0.0,
-                   error=ValueError) -> list[tuple[str, list[int]]]:
-    """Log (thread name, rows) of each ``_abs_row_sums`` call; one on a thread named in ``fail``
-    raises ``error``, and a caller's starts ``caller_delay`` seconds late, so the worker takes
-    its task."""
-    log, real = [], indicator._abs_row_sums
-
-    def recorded(w, k, starts, step, sums, out):
-        thread = threading.current_thread().name
-        if thread != "ucindex":
-            time.sleep(caller_delay)
-        if thread in fail:
-            raise error(f"{thread} failed")
-        taken = []
-        real(w, k, (r for r in starts if not taken.append(r)), step, sums, out)
-        log.append((thread, [i for r in taken for i in range(r, min(r + step, sums.shape[-1]))]))
-
-    monkeypatch.setattr(indicator, "_abs_row_sums", recorded)
-    return log
-
-
-def worker_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "ucindex"]
-
-
-@pytest.fixture
-def two_threads_faster(monkeypatch):
-    """Two threads timed the faster, and the next window that tries one thread 31 windows away."""
-    monkeypatch.setattr(indicator, "_pace", [np.inf, 0.0, 2])
-
-
-@pytest.mark.usefixtures("two_threads_faster")
-class TestTwoThreads:
-    """Past one row block, the caller and one worker thread take the next block until none is left."""
-
-    @pytest.mark.parametrize("n", [363, 500, 1000])
-    def test_uncapped_windows_are_bit_identical(self, n):
-        windows = row_block_windows(n)
-        for name, window in windows.items():
-            expected = row_indicator(gram_matrix(window, 12))
-            assert np.array_equal(window_indicator(window, 12), expected), name
-
-    @pytest.mark.parametrize("delay", [0.0, 0.2])
-    def test_each_row_is_summed_once_in_blocks_of_half_a_cap(self, monkeypatch, delay):
-        log = record_threads(monkeypatch, caller_delay=delay)
-        window = row_block_windows(1000)["spike"]
-        assert np.array_equal(window_indicator(window, 12), row_indicator(gram_matrix(window, 12)))
-        assert sorted(i for _, rows in log for i in rows) == list(range(1000))
-        assert {thread for thread, _ in log} <= {"MainThread", "ucindex"}
-        if delay:  # a caller that starts late leaves every block to the worker
-            assert sorted(log) == [("MainThread", []), ("ucindex", list(range(1000)))]
-
-    def test_one_block_stays_on_the_calling_thread(self, monkeypatch):
-        log = record_threads(monkeypatch)
-        window_indicator(row_block_windows(362)["c-order"], 12)  # 362 rows fit one 1 MiB block
-        window_indicator(np.stack(list(row_block_windows(40).values())), 12)
-        assert log == [("MainThread", list(range(362))), ("MainThread", list(range(40)))]
-
-    def test_one_worker_is_started_and_reused(self):
-        window = row_block_windows(400)["c-order"]
-        window_indicator(window, 12)
-        assert len(worker_threads()) == 1
-        first = worker_threads()[0]
-        window_indicator(window, 12)
-        assert worker_threads() == [first] and first.daemon
-
-    def test_two_first_callers_start_one_worker(self):
-        # each caller enters its first window at once, and starting a thread is slowed down, so
-        # callers that both saw no worker would both start one
-        script = (
-            "import threading, time\n"
-            "import numpy as np\n"
-            "from ucindex.indicator import gram_matrix, row_indicator, window_indicator\n"
-            "window = np.random.default_rng(3).uniform(1, 10, (12, 400))\n"
-            "expected, results, gate = row_indicator(gram_matrix(window, 12)), [], "
-            "threading.Barrier(3)\n"
-            "def call():\n"
-            "    gate.wait()\n"
-            "    results.append(np.array_equal(window_indicator(window, 12), expected))\n"
-            "callers = [threading.Thread(target=call) for _ in range(2)]\n"
-            "for caller in callers:\n"
-            "    caller.start()\n"
-            "start = threading.Thread.start\n"
-            "threading.Thread.start = lambda self: (time.sleep(0.1), start(self))\n"
-            "gate.wait()\n"
-            "for caller in callers:\n"
-            "    caller.join()\n"
-            "print(results, [t.name for t in threading.enumerate()].count('ucindex'))\n"
-        )
-        src = str(Path(indicator.__file__).resolve().parent.parent)
-        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             timeout=60, env={**os.environ, "PYTHONPATH": src})
-        assert (run.returncode, run.stderr, run.stdout) == (0, "", "[True, True] 1\n")
-
-    @pytest.mark.parametrize("where", ["worker", "either", "both"])
-    @pytest.mark.parametrize("kind", OVERFLOWS)
-    def test_overflow_on_either_thread_is_non_finite_value(self, monkeypatch, kind, where):
-        cap_rows(monkeypatch, 3, 8 * 40)  # blocks of one row
-        windows = {"worker": in_the_last_block, "either": late_overflow, "both": at_both_ends}
-        if where == "worker":  # the worker takes every block, and then errs alone
-            record_threads(monkeypatch, caller_delay=0.2)
-        window = windows[where](kind)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteValue, match="overflow"):
-                window_indicator(window, 2)
-            with np.errstate(all="ignore"), pytest.raises(NonFiniteValue, match="overflow"):
-                window_indicator(window, 2)
-
-    @pytest.mark.parametrize("kind", OVERFLOWS)
-    def test_overflow_at_both_ends_names_the_period(self, monkeypatch, kind):
-        cap_rows(monkeypatch, 3, 8 * 40)
-        values = np.random.default_rng(8).uniform(1, 10, size=(40, 12))
-        values[:, :2] = at_both_ends(kind).T  # periods 1 and 2: the first window under SHRINK
-        config = WindowConfig(k=3, warmup=Warmup.SHRINK)
-        with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
-            indicator_series(labelled(values), config, "spiked")
-
-    @pytest.mark.parametrize("fail, raised", [(("MainThread",), "MainThread"),
-                                              (("ucindex",), "ucindex"),
-                                              (("MainThread", "ucindex"), "MainThread")])
-    def test_the_callers_error_wins(self, monkeypatch, fail, raised):
-        record_threads(monkeypatch, fail, caller_delay=0.2)
-        with pytest.raises(ValueError, match=f"^{raised} failed$"):
-            window_indicator(row_block_windows(400)["c-order"], 12)
-
-    def test_what_the_worker_raises_reaches_the_caller_and_the_worker_goes_on(self, monkeypatch):
-        # not only an Exception: a caller waiting for a worker that died would wait forever
-        window, real = row_block_windows(400)["c-order"], indicator._abs_row_sums
-        record_threads(monkeypatch, ("ucindex",), caller_delay=0.2, error=Halt)
-        raised = []
-
-        def call():
-            try:
-                window_indicator(window, 12)
-            except Halt as exc:
-                raised.append(str(exc))
-
-        caller = threading.Thread(target=call, daemon=True)  # so a wait for nothing cannot hang
-        caller.start()
-        caller.join(timeout=20)
-        assert raised == ["ucindex failed"]
-        monkeypatch.setattr(indicator, "_abs_row_sums", real)
-        log = record_threads(monkeypatch, caller_delay=0.2)
-        assert np.array_equal(window_indicator(window, 12), row_indicator(gram_matrix(window, 12)))
-        assert sorted(log) == [("MainThread", []), ("ucindex", list(range(400)))]
-
-    @pytest.mark.parametrize("fail", [(), ("MainThread",)], ids=["returning", "raising"])
-    def test_the_worker_is_joined_before_the_call_ends(self, monkeypatch, fail):
-        real, finished = indicator._abs_row_sums, []
-
-        def worker_late(w, k, starts, step, sums, out):
-            if threading.current_thread().name == "ucindex":
-                time.sleep(0.4)  # taken, then idle well past the caller's end
-                real(w, k, starts, step, sums, out)
-                finished.append(True)
-            else:
-                time.sleep(0.2)
-                if fail:
-                    raise ValueError("caller failed")
-                real(w, k, starts, step, sums, out)
-
-        monkeypatch.setattr(indicator, "_abs_row_sums", worker_late)
-        window = row_block_windows(400)["c-order"]
-        if fail:
-            with pytest.raises(ValueError, match="caller failed"):
-                window_indicator(window, 12)
-        else:
-            assert np.array_equal(window_indicator(window, 12),
-                                  row_indicator(gram_matrix(window, 12)))
-        assert finished == [True]
-
-    def test_callers_on_several_threads_share_the_worker(self, monkeypatch):
-        # more callers than cores and a short switch interval: a block lost or summed twice
-        # between a caller, the worker and another caller's queued task changes a result, and a
-        # timing update lost between callers changes the count of wide windows
-        cap_rows(monkeypatch, 5, 8 * 200)  # blocks of two rows
-        windows = [row_block_windows(200)[name] for name in ("c-order", "spike", "cancellation")]
-        expected = [row_indicator(gram_matrix(window, 12)) for window in windows]
-        wrong, interval = [], sys.getswitchinterval()
-
-        def caller(i):
-            for _ in range(30):
-                if not np.array_equal(window_indicator(windows[i % 3], 12), expected[i % 3]):
-                    wrong.append(i)
-
-        callers = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)]
-        sys.setswitchinterval(1e-5)
-        try:
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in callers)
-        assert wrong == []
-        assert indicator._pace[2] == 2 + 4 * 30  # no caller's timing lost
-
-    def test_a_rebound_gram_matrix_stays_on_the_calling_thread(self, monkeypatch):
-        threads = []
-
-        def rebound(window, k):
-            threads.append(threading.current_thread().name)
-            return gram_matrix(window, k)
-
-        monkeypatch.setattr(indicator, "gram_matrix", rebound)
-        log = record_threads(monkeypatch)
-        window = row_block_windows(400)["c-order"]
-        assert np.array_equal(window_indicator(window, 12), row_indicator(gram_matrix(window, 12)))
-        assert (threads, log) == (["MainThread"], [])
-
-    def test_memory_is_one_shared_cap_and_freed_on_return(self):
-        # a per-thread 1 MiB buffer would take 2 MiB; the threads share one cap, and the worker
-        # drops its task before the call returns, so the next window's buffer never adds to it
-        window = np.random.default_rng(5).uniform(1, 10, size=(12, 1000))
-        window_indicator(window, 12)  # the first call of the process may start the worker
-        tracemalloc.start()
-        try:
-            sums = window_indicator(window, 12)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= indicator.CHUNK_BYTES + sums.nbytes + 64 * 2**10
-        assert held <= sums.nbytes + 64 * 2**10
-
-
-class TestOneThreadOrTwo:
-    """Past one row block, the way timed the faster per unit of work lately is taken; each 32nd
-    such window tries the other way."""
-
-    def calls(self, monkeypatch, seconds=None) -> list[str]:
-        """Log each window's way: "one" or "two" threads, told apart by the caller's block size;
-        with ``seconds`` (by way), a stopped clock moves only by those per window."""
-        ways, real = [], indicator._abs_row_sums
-        clock = [0.0]
-
-        def recorded(w, k, starts, step, sums, out):
-            if threading.current_thread().name == "MainThread":
-                way = "one" if step == indicator.CHUNK_BYTES // w[..., :1, :].nbytes else "two"
-                ways.append(way)
-                clock[0] += seconds[way] if seconds else 0.0
-            real(w, k, starts, step, sums, out)
-
-        monkeypatch.setattr(indicator, "_abs_row_sums", recorded)
-        if seconds:
-            stopped = types.SimpleNamespace(perf_counter=lambda: clock[0])
-            monkeypatch.setattr(indicator, "time", stopped)
-        return ways
-
-    @pytest.mark.parametrize("faster", ["one", "two"])
-    def test_the_faster_way_is_kept_and_the_other_tried_each_32nd_window(self, monkeypatch,
-                                                                         faster):
-        other = {"one": "two", "two": "one"}[faster]
-        monkeypatch.setattr(indicator, "_pace", [0.0, 1.0, 0] if faster == "one" else [1.0, 0.0, 0])
-        ways = self.calls(monkeypatch)
-        window = row_block_windows(400)["c-order"]
-        for _ in range(34):
-            window_indicator(window, 12)
-        assert ways == [faster, other] + [faster] * 31 + [other]
-
-    def test_a_way_timed_slower_is_left(self, monkeypatch):
-        monkeypatch.setattr(indicator, "_pace", [np.inf, np.inf, 0])
-        ways = self.calls(monkeypatch, seconds={"one": 1.0, "two": 3.0})
-        window = row_block_windows(400)["c-order"]
-        for _ in range(4):
-            assert np.array_equal(window_indicator(window, 12),
-                                  row_indicator(gram_matrix(window, 12)))
-        assert ways == ["two", "one", "one", "one"]  # the first window tries two threads
-
-    def test_small_windows_are_not_timed(self, monkeypatch):
-        pace = [np.inf, np.inf, 0]
-        monkeypatch.setattr(indicator, "_pace", pace)
-        window_indicator(row_block_windows(362)["c-order"], 12)
-        assert pace == [np.inf, np.inf, 0]
 
 
 class TestRowIndicator:

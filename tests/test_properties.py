@@ -16,7 +16,8 @@ from ucindex import (
     indicator_series,
     scalar_per_period,
 )
-from ucindex.indicator import standardize_window
+from ucindex import indicator
+from ucindex.indicator import standardize_window, window_indicator
 
 
 def random_window(rng: np.random.Generator) -> tuple[np.ndarray, int]:
@@ -49,10 +50,14 @@ def test_gram_positive_semidefinite(seed):
 
 
 @pytest.mark.parametrize("seed", range(40))
-def test_oracle_equivalence(seed):
+def test_oracle_equivalence(monkeypatch, seed):
     window, k = random_window(np.random.default_rng(seed))
+    oracle = gram_matrix_bruteforce(window, k)
+    np.testing.assert_allclose(gram_matrix(window, k), oracle, rtol=1e-12, atol=0)
+    # the fast path in tiles of two rows: several tiles from n = 3 on
+    monkeypatch.setattr(indicator, "CHUNK_BYTES", 2 * window[:1].nbytes)
     np.testing.assert_allclose(
-        gram_matrix(window, k), gram_matrix_bruteforce(window, k), rtol=1e-12, atol=0
+        window_indicator(window, k), np.abs(oracle).sum(axis=-1), rtol=1e-12, atol=0
     )
 
 
