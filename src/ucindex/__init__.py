@@ -6,81 +6,35 @@ lag-window Gram-correlation matrices and per-period integral indicators,
 and compares the basic management mode against the universal-competencies
 mode. See the README for the CLI and file formats.
 
-The names below are the library surface; everything else is importable
-from its submodule (``ucindex.io_formats``, ``ucindex.report``, ...).
+The names in ``_EXPORTS`` are the library surface; ``import ucindex`` loads
+each from its submodule (and numpy with it) on first use. Everything else is
+importable from its submodule (``ucindex.io_formats``, ``ucindex.report``, ...).
 """
 
-from ._version import __version__
-from .competencies import (
-    ComplianceMatrix,
-    DerivationRule,
-    ResourceBudget,
-    check_budget,
-    derive_mode_series,
-)
-from .errors import (
-    BadWindow,
-    ConfigMismatch,
-    DimensionMismatch,
-    InvalidScenario,
-    NegativeIndicator,
-    NonBinaryEntry,
-    NonFiniteValue,
-    NonMonotonicTime,
-    ParseError,
-    RaggedRow,
-    SeriesTooShort,
-    UcindexError,
-    WindowOutOfRange,
-)
-from .indicator import (
-    WindowConfig,
-    compare_modes,
-    gram_matrix,
-    gram_matrix_bruteforce,
-    indicator_series,
-    ingest_precomputed,
-    scalar_per_period,
-)
-from .io_formats import load_mode_fixture, read_series_csv
-from .process_model import ProcessSeries
-from .report import emit_report
-from .scenario import generate_series, reference_scenario
+import importlib
 
-__all__ = [
-    "__version__",
-    # model, competencies and indicators
-    "ProcessSeries",
-    "ComplianceMatrix",
-    "ResourceBudget",
-    "DerivationRule",
-    "check_budget",
-    "derive_mode_series",
-    "WindowConfig",
-    "gram_matrix",
-    "gram_matrix_bruteforce",
-    "indicator_series",
-    "scalar_per_period",
-    "ingest_precomputed",
-    "compare_modes",
-    # scenario, files and report
-    "generate_series",
-    "reference_scenario",
-    "read_series_csv",
-    "load_mode_fixture",
-    "emit_report",
-    # errors
-    "UcindexError",
-    "DimensionMismatch",
-    "NonFiniteValue",
-    "WindowOutOfRange",
-    "BadWindow",
-    "SeriesTooShort",
-    "ConfigMismatch",
-    "NegativeIndicator",
-    "InvalidScenario",
-    "ParseError",
-    "NonMonotonicTime",
-    "RaggedRow",
-    "NonBinaryEntry",
-]
+from ._version import __version__
+
+_EXPORTS = {
+    "process_model": ("ProcessSeries",),
+    "competencies": ("ComplianceMatrix", "ResourceBudget", "DerivationRule", "check_budget",
+                     "derive_mode_series"),
+    "indicator": ("WindowConfig", "gram_matrix", "gram_matrix_bruteforce", "indicator_series",
+                  "scalar_per_period", "ingest_precomputed", "compare_modes"),
+    "scenario": ("generate_series", "reference_scenario"),
+    "io_formats": ("read_series_csv", "load_mode_fixture"),
+    "report": ("emit_report",),
+    "errors": ("UcindexError", "DimensionMismatch", "NonFiniteValue", "WindowOutOfRange",
+               "BadWindow", "SeriesTooShort", "ConfigMismatch", "NegativeIndicator",
+               "InvalidScenario", "ParseError", "NonMonotonicTime", "RaggedRow", "NonBinaryEntry"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    # PEP 562: looked up on every access and not cached, so a name rebound in its submodule is
+    # seen here too; a name outside the table (a submodule's name, say) raises AttributeError
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)

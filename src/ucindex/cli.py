@@ -26,6 +26,9 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
+# ucindex calls no BLAS, so numpy's first import need not start OpenBLAS's idle threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from ._version import __version__
 from .competencies import DerivationRule, ResourceBudget, check_budget, derive_mode_series
 from .errors import BudgetExceeded, FixtureMismatch, InvalidScenario, UcindexError

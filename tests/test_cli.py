@@ -485,26 +485,38 @@ def test_python_dash_m_runs_the_cli():
     assert result.stdout == f"ucindex {ucindex.__version__}\n"
 
 
-def test_start_up_and_small_windows_start_no_worker_thread(tmp_path):
-    # no CLI path starts a thread or loads queue: not start-up, a small window or one of two tiles
+@pytest.mark.parametrize("blas", [None, "2"], ids=["blas-unset", "blas-set"])
+def test_start_up_and_small_windows_start_no_worker_thread(tmp_path, blas):
+    # no CLI path starts a thread or loads queue: not start-up, a small window or one of two tiles;
+    # nor does OpenBLAS, whose thread count the CLI sets to 1 unless the caller has set one
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("native threads are counted in /proc/self/task")
     rng = np.random.default_rng(7)
     for prefix, n, t in (("", 24, 40), ("wide-", 400, 16)):
         for mode in ("basic", "universal"):
             write_series(tmp_path / f"{prefix}{mode}.csv", rng.uniform(1, 10, size=(n, t)))
     script = (
-        "import sys, threading\n"
+        "import os, sys, threading\n"
         "import ucindex.cli\n"
         "code = max(ucindex.cli.cli_main(['compare', '--basic', p + 'basic.csv', '--universal',"
         " p + 'universal.csv', '--window', '12']) for p in ('', 'wide-'))\n"
         "print(code, 'concurrent.futures' in sys.modules, 'queue' in sys.modules,"
-        " threading.active_count(), file=sys.stderr)\n"
+        " threading.active_count(), os.environ.get('OPENBLAS_NUM_THREADS'),"
+        " len(os.listdir('/proc/self/task')), file=sys.stderr)\n"
     )
-    src = str(Path(ucindex.__file__).resolve().parent.parent)
+    # this process may have set the variable itself, by importing ucindex.cli
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(ucindex.__file__).resolve().parent.parent)
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
     result = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
-        timeout=60, env={**os.environ, "PYTHONPATH": src},
+        timeout=60, env=env,
     )
-    assert result.stderr == "0 False False 1\n"
+    if blas is None:
+        assert result.stderr == "0 False False 1 1 1\n"
+    else:  # how many threads OpenBLAS then starts depends on the host's cores
+        assert result.stderr.split()[:5] == ["0", "False", "False", "1", blas], result.stderr
 
 
 @pytest.mark.parametrize("n, extra", [(400, []), (4, ["--standardize"])],

@@ -1,5 +1,8 @@
 """The package's public surface, and the functions the benchmark's trace wraps.
 
+``ucindex.__all__`` names are resolved lazily from their submodules, so each must be the very
+object its submodule holds, and a bare ``import ucindex`` must load neither numpy nor them.
+
 ``perfbench/traced_cli.py`` wraps the functions named in its ``TRACED`` table
 by module attribute, so deleting or renaming one of them would break the
 benchmark's per-layer trace; this test makes that a test failure instead. Its
@@ -14,6 +17,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,7 +41,25 @@ def traced_table() -> dict[str, tuple[str, ...]]:
 
 @pytest.mark.parametrize("name", ucindex.__all__)
 def test_every_exported_name_resolves(name):
-    assert getattr(ucindex, name) is not None
+    home = importlib.import_module(f"ucindex.{ucindex._HOME.get(name, '_version')}")
+    assert getattr(ucindex, name) is getattr(home, name) is not None
+
+
+def test_import_loads_no_submodule_and_no_numpy(tmp_path):
+    script = (
+        "import os, sys\n"
+        "import ucindex\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('ucindex')),"
+        " os.environ.get('OPENBLAS_NUM_THREADS'), hasattr(ucindex, 'nope'))\n"
+        "from ucindex import indicator\n"
+        "print(indicator.__name__, indicator is sys.modules['ucindex.indicator'])\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(ucindex.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (run.stdout, run.stderr) == (
+        "['ucindex', 'ucindex._version'] None False\nucindex.indicator True\n", "")
 
 
 def test_traced_functions_exist():
@@ -64,7 +86,7 @@ def test_traced_compare_runs_cleanly(tmp_path):
     assert {"indicator.indicator_series", "io_formats.read_series_csv"} <= names
 
 
-def test_traced_compare_on_the_two_thread_path_runs_cleanly(tmp_path):
+def test_traced_compare_on_the_multi_tile_path_runs_cleanly(tmp_path):
     # n = 400 spans two tiles of the kernel, so each window takes the multi-tile path
     rng = np.random.default_rng(4)
     args = ["compare", "--window", "12", "--format", "csv"]
