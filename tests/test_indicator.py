@@ -427,6 +427,16 @@ PLACES = {"late": late_overflow, "both-ends": at_both_ends, "last-tile": in_the_
 class TestWindowIndicator:
     @pytest.mark.parametrize("stacked", [False, True], ids=["window", "stack"])
     @pytest.mark.parametrize("kind", OVERFLOWS)
+    def test_overflow_in_a_later_row_block_is_non_finite_value(self, monkeypatch, kind, stacked):
+        window = late_overflow(kind)
+        if stacked:
+            window = np.stack([np.ones((2, 40)), window])
+        cap_rows(monkeypatch, 3, window[..., :1, :].nbytes)  # row 39 forms the last of 14 blocks
+        with pytest.raises(NonFiniteValue, match="overflow"):
+            window_indicator(window, 2)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["window", "stack"])
+    @pytest.mark.parametrize("kind", OVERFLOWS)
     @pytest.mark.parametrize("place", PLACES)
     def test_overflow_in_any_tile_is_non_finite_value(self, monkeypatch, place, kind, stacked):
         window = PLACES[place](kind)
@@ -442,6 +452,15 @@ class TestWindowIndicator:
     def test_overflow_is_non_finite_value_under_a_raising_errstate(self):
         with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):
             window_indicator(late_overflow("inf-minus-inf"), 2)
+
+    @pytest.mark.parametrize("kind", OVERFLOWS)
+    def test_overflow_in_a_later_row_block_names_the_period(self, monkeypatch, kind):
+        cap_rows(monkeypatch, 3, 8 * 40)  # one period a chunk, 14 row blocks a Gram matrix
+        values = np.random.default_rng(8).uniform(1, 10, size=(40, 12))
+        values[:, :2] = late_overflow(kind).T  # periods 1 and 2: the first window under SHRINK
+        config = WindowConfig(k=3, warmup=Warmup.SHRINK)
+        with pytest.raises(NonFiniteValue, match="^spiked, period 3: overflow"):
+            indicator_series(labelled(values), config, "spiked")
 
     @pytest.mark.parametrize("kind", OVERFLOWS)
     @pytest.mark.parametrize("place", PLACES)
