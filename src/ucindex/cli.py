@@ -54,7 +54,7 @@ from .io_formats import (
     write_scenario_json,
     write_series_csv,
 )
-from .report import ReportFormat, build_report_table, emit_plot_data, report_chunks, window_metadata
+from .report import ReportFormat, emit_plot_data, report_chunks, window_metadata
 from .scenario import NOISE_ALGORITHM, generate_series, reference_scenario
 
 FIXTURE_TOLERANCE = 0.02  # the reference table is printed at 2 decimals
@@ -106,14 +106,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     basic = indicator_series(basic_series, config, mode_label=BASIC_LABEL)
     competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
-    table = build_report_table(comparison, derivation=derivation, stamp=args.stamp)
+    chunks = report_chunks(comparison, args.format, derivation, args.stamp)
     with staged_writes() as write:
         if args.plot_data is not None:
             emit_plot_data(comparison, args.plot_data, write)
         if args.out is not None:
-            write(args.out, report_chunks(table, args.format))
+            write(args.out, chunks)
     if args.out is None:  # only once every file is in place
-        sys.stdout.writelines(report_chunks(table, args.format))
+        sys.stdout.writelines(chunks)
     return 0
 
 
@@ -143,8 +143,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     first, basic_scalars, competency_scalars = read_scalar_csv(args.scalars)
     basic = ingest_precomputed(basic_scalars, BASIC_LABEL, first_period=first)
     competency = ingest_precomputed(competency_scalars, COMPETENCY_LABEL, first_period=first)
-    table = build_report_table(compare_modes(basic, competency), stamp=args.stamp)
-    _write_or_print(report_chunks(table, args.format), args.out)
+    chunks = report_chunks(compare_modes(basic, competency), args.format, stamp=args.stamp)
+    _write_or_print(chunks, args.out)
     return 0
 
 

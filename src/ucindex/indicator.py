@@ -218,16 +218,16 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
     return w
 
 
-def _gram_block(w: np.ndarray, k: int, rows: slice, out: np.ndarray) -> np.ndarray:
-    """Rows ``rows`` of W'W / (k-1), per slice, of a checked window or stack, filled in ``out``;
-    NaN or inf stays unreported, as einsum does not report overflow to np.errstate. C-ordered
-    operands and a zero column appended at n = 1 (``out`` has room) keep the summation order."""
+def _gram_block(w: np.ndarray, k: int, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of W'W / (k-1), per slice, of a checked window or stack; NaN or inf stays
+    unreported, as einsum does not report overflow to np.errstate. C-ordered operands and a
+    zero column appended at n = 1 (dropped from the result) keep the summation order."""
     n, left = w.shape[-1], np.ascontiguousarray(w[..., rows])
     if n == 1:
         w = np.concatenate((w, np.zeros_like(w)), axis=-1)
-    np.einsum("...li,...lj->...ij", left, w, optimize=False, out=out)
-    out /= k - 1
-    return out[..., :n]
+    g = np.einsum("...li,...lj->...ij", left, w, optimize=False)
+    g /= k - 1
+    return g[..., :n]
 
 
 def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
@@ -240,9 +240,7 @@ def gram_matrix(window: np.ndarray, k: int) -> np.ndarray:
     NonFiniteValue
         If the window contains NaN or infinite entries, or the sums overflow.
     """
-    w = _checked_window(window, k, (2, 3))
-    n = w.shape[-1]  # at n = 1 the result has room for _gram_block's zero column
-    g = _gram_block(w, k, slice(None), np.empty(w.shape[:-2] + (n, n + (n == 1))))
+    g = _gram_block(_checked_window(window, k, (2, 3)), k, slice(None))
     if not np.isfinite(g).all():
         raise NonFiniteValue("overflow encountered")
     return g
@@ -269,9 +267,8 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     n, stack = w.shape[-1], w.shape[:-2]
     step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # the Gram rows a cap holds
     sums = np.zeros(stack + (n,))
-    for r in range(0, n, step):  # C-ordered columns r.., and room for _gram_block's zero column
-        tile = _gram_block(np.ascontiguousarray(w[..., r:]), k, slice(0, step),
-                           np.empty(stack + (min(step, n - r), n - r + (n - r == 1))))
+    for r in range(0, n, step):  # C-ordered columns r..
+        tile = _gram_block(np.ascontiguousarray(w[..., r:]), k, slice(0, step))
         np.abs(tile, out=tile)
         sums[..., r : r + step] += tile.sum(axis=-1)
         sums[..., r + step :] += tile[..., step:].sum(axis=-2)

@@ -5,13 +5,13 @@ documents. Numbers in the table body are printed at two decimals; the CSV
 variant repeats every value at full round-trip precision in extra columns.
 A metadata block (fixed key order, no timestamps unless explicitly stamped)
 is appended as comment lines so a report is self-describing. Outputs are
-rendered in text chunks, a slice of rows at a time, never as one text.
+rendered in text chunks, a slice of rows at a time (:func:`report_chunks`);
+:func:`emit_report` is their join, for callers that want the whole text.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -26,18 +26,6 @@ class ReportFormat(str, Enum):
     CSV = "csv"
 
 
-@dataclass(frozen=True)
-class ReportTable:
-    """Renderable mode-comparison table: a comparison plus its metadata.
-
-    The renderers read the per-period rows and the totals footer from the
-    comparison at full precision; rounding happens only at render time.
-    """
-
-    comparison: ModeComparison
-    metadata: tuple[str, ...]  # the ``# key=value`` lines
-
-
 def window_metadata(config: WindowConfig | None) -> list[tuple[str, str]]:
     """The window metadata entries of an output; ``config`` is None for precomputed scalars."""
     if config is None:
@@ -49,12 +37,12 @@ def window_metadata(config: WindowConfig | None) -> list[tuple[str, str]]:
     ]
 
 
-def build_report_table(
+def report_metadata(
     comparison: ModeComparison,
     derivation: str | None = None,
     stamp: bool = False,
-) -> ReportTable:
-    """Assemble the report table for a comparison.
+) -> list[str]:
+    """The ``# key=value`` lines of a comparison's report.
 
     ``derivation`` names the rule used to derive the competency series from
     a compliance matrix, when one was used; it is echoed in the metadata so
@@ -74,7 +62,7 @@ def build_report_table(
     if stamp:
         now = datetime.now(timezone.utc).replace(microsecond=0)
         metadata.append(("generated", now.isoformat()))
-    return ReportTable(comparison, tuple(metadata_lines(metadata)))
+    return metadata_lines(metadata)
 
 
 def _fmt2(x: float) -> str:
@@ -82,16 +70,13 @@ def _fmt2(x: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def render_report(table: ReportTable, fmt: ReportFormat | str = ReportFormat.TABLE) -> str:
-    """Render a report table to text; see module docstring for the two formats."""
-    return "".join(report_chunks(table, fmt))
-
-
-def report_chunks(table: ReportTable,
-                  fmt: ReportFormat | str = ReportFormat.TABLE) -> Iterator[str]:
-    """The text of :func:`render_report`: the header, each slice of rows, the total, the metadata."""
+def report_chunks(comparison: ModeComparison, fmt: ReportFormat | str = ReportFormat.TABLE,
+                  derivation: str | None = None, stamp: bool = False) -> Iterator[str]:
+    """The report's text: the header, each slice of rows, the total, then the metadata, which
+    the call itself builds, so its errors (see :func:`report_metadata`) come before any chunk."""
+    block = "\n".join(report_metadata(comparison, derivation, stamp)) + "\n"
     render = _render_csv if ReportFormat(fmt) is ReportFormat.CSV else _render_text
-    return itertools.chain(render(table.comparison), ["\n".join(table.metadata) + "\n"])
+    return itertools.chain(render(comparison), [block])
 
 
 def _render_text(c: ModeComparison) -> Iterator[str]:
@@ -126,8 +111,12 @@ def emit_report(
     derivation: str | None = None,
     stamp: bool = False,
 ) -> str:
-    """Build and render the comparison report in one step."""
-    return render_report(build_report_table(comparison, derivation=derivation, stamp=stamp), fmt)
+    """The whole comparison report: the join of :func:`report_chunks`."""
+    return "".join(report_chunks(comparison, fmt, derivation, stamp))
+
+
+# perfbench/traced_cli.py times these names; ROADMAP items 1 and 3 retire the line.
+build_report_table, render_report = report_metadata, emit_report
 
 
 def emit_plot_data(comparison: ModeComparison, path: str | Path,

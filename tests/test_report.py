@@ -8,7 +8,7 @@ from ucindex import (
     ingest_precomputed,
     load_mode_fixture,
 )
-from ucindex.report import build_report_table, emit_plot_data, render_report
+from ucindex.report import emit_plot_data
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +102,7 @@ class TestReportTable:
             ingest_precomputed([1.0, 2.0], "basic"),
             ingest_precomputed([2.0, 4.0], "uc"),
         )
-        table = build_report_table(comparison)
-        assert csv_rows(render_report(table, "csv"))[-1][4:] == ["3.0", "6.0", "3.0"]
+        assert csv_rows(emit_report(comparison, "csv"))[-1][4:] == ["3.0", "6.0", "3.0"]
 
 
 class TestEmitPlotData:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ucindex.cli
-from ucindex import ProcessSeries, compare_modes, emit_report, ingest_precomputed
+from ucindex import ParseError, ProcessSeries, compare_modes, emit_report, ingest_precomputed
 from ucindex import io_formats
 from ucindex.cli import cli_main
 from ucindex.indicator import WindowConfig, indicator_series, scalar_per_period
@@ -28,7 +28,7 @@ from ucindex.io_formats import (
     staged_writes,
     write_series_csv,
 )
-from ucindex.report import _fmt2, build_report_table, report_chunks, window_metadata
+from ucindex.report import _fmt2, report_chunks, report_metadata, window_metadata
 
 SCALAR_HEADER = "t,basic,universal_competencies"
 # rows whose report text crosses a slice boundary once (two row slices) or several times
@@ -105,9 +105,8 @@ class TestStreamedReportBytes:
         scalars, out = tmp_path / "scalars.csv", tmp_path / "report.txt"
         write_scalars(scalars, ROWS[fmt, crossings])
         comparison = scalar_comparison(scalars)
-        table = build_report_table(comparison)
-        expected = joined_report(comparison, fmt, table.metadata)
-        chunks = list(report_chunks(table, fmt))
+        expected = joined_report(comparison, fmt, report_metadata(comparison))
+        chunks = list(report_chunks(comparison, fmt))
         slices = len(chunks) - 3  # the rest: the header, the total row and the metadata
         assert slices == 2 if crossings == "once" else slices > 3
         assert emit_report(comparison, fmt) == expected
@@ -129,7 +128,7 @@ class TestStreamedReportBytes:
         comparison = compare_modes(indicator_series(modes[0], config, mode_label="basic"),
                                    indicator_series(modes[1], config,
                                                     mode_label="universal-competencies"))
-        expected = joined_report(comparison, fmt, build_report_table(comparison).metadata)
+        expected = joined_report(comparison, fmt, report_metadata(comparison))
         plot_expected = joined_plot_data(comparison)
         assert len(expected) > CHUNK_BYTES and len(plot_expected) > CHUNK_BYTES
         report, plot = tmp_path / "report.txt", tmp_path / "plot.csv"
@@ -181,7 +180,7 @@ class TestStreamedReportBytes:
         basic, competency = zip(*pairs)
         comparison = compare_modes(ingest_precomputed(basic, "basic", first_period=first),
                                    ingest_precomputed(competency, "uc", first_period=first))
-        expected = joined_report(comparison, "table", build_report_table(comparison).metadata)
+        expected = joined_report(comparison, "table", report_metadata(comparison))
         assert emit_report(comparison, "table") == expected
 
 
@@ -225,6 +224,13 @@ class TestMemoryAndFailures:
                 write(tmp_path / "first.txt", ["done\n"])
                 write(tmp_path / "second.txt", self.failing_chunks())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["table", "csv"])
+    def test_report_chunks_raises_before_its_first_chunk(self, fmt):
+        comparison = compare_modes(ingest_precomputed([1.0], "basic"),
+                                   ingest_precomputed([2.0], "uc"))
+        with pytest.raises(ParseError, match=r"metadata derivation='a\\nb' contains"):
+            report_chunks(comparison, fmt, derivation="a\nb")  # the call, with no iteration
 
     def test_a_label_with_a_line_break_writes_nothing(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
