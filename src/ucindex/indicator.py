@@ -37,9 +37,11 @@ and the negated basic values, so large, nearly equal modes do not cancel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
+from typing import Iterator
 
 import numpy as np
 
@@ -57,12 +59,12 @@ INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on the work held at once, and on each slice of output rows (io_formats.row_chunks). A
-# chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; one from
-# n = 257 on) keeps its window stack (p x k x n) within the cap, and the n keeps the stack's Gram
-# rows to one tile. window_indicator forms a larger Gram matrix in tiles of
-# max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000), one at a time, never whole. A 4 MiB cap
-# (the L2 size) raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# Byte cap on the work held at once: on each slice of output rows, all it allocates (about 128
+# bytes a float, io_formats.row_chunks), and on the lists of floats delta_total sums (32 bytes a
+# float). A chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; 1
+# from n = 257) keeps its window stack (p x k x n) within the cap, and the n its Gram rows to one
+# tile. window_indicator forms a larger Gram matrix in tiles of max(1, CHUNK_BYTES // (8 n)) rows
+# (131 at n = 1000), one at a time. A 4 MiB cap raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -185,17 +187,30 @@ class ModeComparison:
         if basic.periods != competency.periods:
             spans = (f"{m.first_period}..{m.t_max}" for m in (basic, competency))
             raise ConfigMismatch("defined periods differ: {} vs {}".format(*spans))
-        signed = np.hstack((competency.values, -basic.values))
+        if basic.n == 1:  # one IEEE add is correctly rounded, as an fsum of two values is
+            delta = competency.values[:, 0] - basic.values[:, 0] + 0.0  # fsum's 0.0 for -0.0
+        else:
+            rows = (row for signed in _signed_slices(basic, competency) for row in signed.tolist())
+            delta = np.fromiter(map(fsum, rows), float, len(basic.values))
         for name, arr in (("basic_scalars", scalar_per_period(basic)),
                           ("competency_scalars", scalar_per_period(competency)),
-                          ("delta_per_period", _row_sums(signed))):
+                          ("delta_per_period", delta)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "delta_total", fsum(signed.ravel()))
+        values = (signed.ravel().tolist() for signed in _signed_slices(basic, competency))
+        object.__setattr__(self, "delta_total", fsum(itertools.chain.from_iterable(values)))
 
     @property
     def periods(self) -> range:
         return self.basic.periods
+
+
+def _signed_slices(basic: IndicatorSeries, competency: IndicatorSeries) -> Iterator[np.ndarray]:
+    """Each period's competency values beside its negated basic values, a slice of rows at a
+    time, so neither mode is copied whole."""
+    step = max(1, CHUNK_BYTES // (64 * basic.n))  # a row's 2n floats take 64 n bytes as a list
+    for r in range(0, len(basic.values), step):
+        yield np.hstack((competency.values[r:r + step], -basic.values[r:r + step]))
 
 
 def _raise_non_finite(error: str, flag: int) -> None:
@@ -367,18 +382,15 @@ def indicator_series(
 
 
 def scalar_per_period(series: IndicatorSeries) -> np.ndarray:
-    """Collapse each defined period's n indicator values into one scalar (their sum).
+    """Collapse each defined period's n indicator values into one scalar (their exact fsum).
 
     Summing these scalars reproduces the series total up to the rounding of
     each scalar.
     """
-    return _row_sums(series.values)
-
-
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """The exact (fsum) sum of each row."""
+    if series.n == 1:
+        return series.values[:, 0] + 0.0  # fsum of one value is the value, but 0.0 for -0.0
     # a row at a time: one list of every value would cost about 32 bytes per value
-    return np.fromiter(map(fsum, map(np.ndarray.tolist, rows)), float, len(rows))
+    return np.fromiter(map(fsum, map(np.ndarray.tolist, series.values)), float, len(series.values))
 
 
 def ingest_precomputed(

@@ -9,8 +9,9 @@ half-written file behind; ``staged_writes`` extends that to a set of files
 that appear together or not at all. A writer takes the text as chunks, one
 slice of rows each (``row_chunks``), so no output is ever held whole.
 
-Every reader decodes its file in ``_reading`` (errors name the file), and
-one table parser serves every CSV, with errors naming the physical line.
+Every reader reads its file once, a line at a time, in ``_reading`` (errors name the
+file), and holds none of its bytes, text or lines whole; one table parser serves every
+CSV, with errors naming the physical line (as the whole text's ``splitlines`` numbers it).
 Values must be finite plain decimals (no ``nan``, ``inf``, overflow or
 ``_`` digit grouping), in data cells and the fixture's declared totals alike. ``metadata_lines`` writes every ``# key=value`` block.
 
@@ -34,12 +35,13 @@ import contextlib
 import dataclasses
 import errno
 import importlib.resources
+import io
 import itertools
 import json
 import os
 from array import array
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -66,12 +68,12 @@ Writer = Callable[[str | Path, Iterable[str]], None]  # write(path, chunks), as 
 def row_chunks(first: int, line: Callable[..., str], *arrays: np.ndarray) -> Iterator[str]:
     """One ``"\\n"``-ended chunk a slice of rows: ``line(first + r, row r of each array...)``.
 
-    A row is a Python float (1-D array) or a list of them (2-D); ``tolist`` converts a slice
-    of about CHUNK_BYTES of floats at 32 bytes each. Zero rows give no chunk. Outputs go out in
-    chunks, not lines, as stdout may be write-through (``-u``, ``PYTHONUNBUFFERED``): a system
-    call a write, so writing 100k report rows a line at a time took about 30 % longer.
+    A row is a Python float (1-D array) or a list of them (2-D); a slice's floats, row strings,
+    chunk and bytes, about 128 bytes a float, fit in CHUNK_BYTES. Zero rows give no chunk. Output
+    goes in chunks, not lines, as stdout may be write-through (``-u``, ``PYTHONUNBUFFERED``): a
+    system call a write, so writing 100k report rows a line at a time took about 30 % longer.
     """
-    step = max(1, CHUNK_BYTES // (32 * max(1, sum(a[:1].size for a in arrays))))
+    step = max(1, CHUNK_BYTES // (128 * max(1, sum(a[:1].size for a in arrays))))
     for start in range(0, len(arrays[0]), step):
         rows = (a[start:start + step].tolist() for a in arrays)
         yield "\n".join(itertools.starmap(line, zip(itertools.count(first + start), *rows))) + "\n"
@@ -146,29 +148,33 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 @contextlib.contextmanager
-def _reading(path) -> Iterator[str]:
-    """The UTF-8 text of a file or package resource; errors raised while reading it name it once."""
+def _reading(path) -> Iterator[TextIO]:
+    """A file or package resource open as UTF-8 text, newlines translated as ``read_text`` does
+    (a pipe is read whole: a parse may read twice); errors name it once, bad UTF-8 first."""
+    source = Path(path) if isinstance(path, str) else path
     try:
-        yield (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
-    except UcindexError as exc:
+        with source.open(encoding="utf-8") as file:
+            yield file if file.seekable() else io.StringIO(file.read())
+    except (UnicodeDecodeError, UcindexError) as exc:
+        try:  # on the error path only: whole, for the offset from the file's start
+            source.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        if isinstance(exc, UnicodeDecodeError):
+            raise ParseError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
         exc.args = (f"{path}: {exc}",)
         raise
 
 
-def _data_lines(text: str, meta: dict[str, str] | None = None) -> Iterator[tuple[int, str]]:
-    """Non-blank, non-comment lines with their 1-based physical line numbers.
-
-    ``# key=value`` comments are collected into ``meta`` when it is given.
-    """
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _data_lines(lines: Iterable[str], meta: dict[str, str]) -> Iterator[tuple[int, str]]:
+    """Non-blank, non-comment lines of a file's ``lines``, numbered from 1 as the whole text's
+    ``splitlines`` numbers them; ``# key=value`` comments are collected into ``meta``."""
+    for lineno, raw in enumerate(itertools.chain.from_iterable(map(str.splitlines, lines)), 1):
         line = raw.strip()
         if line.startswith("#"):
-            if meta is not None:
-                key, sep, value = line.lstrip("# ").partition("=")
-                if sep:
-                    meta[key.strip()] = value.strip()
+            key, sep, value = line.lstrip("# ").partition("=")
+            if sep:
+                meta[key.strip()] = value.strip()
         elif line:
             yield lineno, raw
 
@@ -213,22 +219,22 @@ class _Table(NamedTuple):
 
 
 def _parse_table(
-    text: str,
+    file: TextIO,
     key: str,
     columns: tuple[str, ...] | None = None,
     cell: Callable[[list[str], int], list] = _floats,
     first: int | None = 1,
 ) -> _Table:
-    """Parse a CSV table: header ``key,<value columns>``, then one row per key.
+    """Parse a CSV table from an open file: header ``key,<value columns>``, then one row per key.
 
-    ``columns`` names the value columns exactly; None accepts any nonempty
-    list. Keys are integers consecutive from ``first`` (None: from whatever
-    the first row holds, at least 1). ``cell`` parses one row's value tokens,
-    given the line number for its errors; the parsed cells must be finite.
+    ``columns`` names the value columns exactly; None accepts any nonempty list. Keys are
+    integers consecutive from ``first`` (None: from whatever the first row holds, at least 1).
+    ``cell`` parses one row's value tokens, given the line number for its errors; the parsed
+    cells must be finite.
     """
     meta: dict[str, str] = {}
-    lines = _data_lines(text, meta)
-    header_lineno, header = next(lines, (0, ""))
+    data = _data_lines(file, meta)
+    header_lineno, header = next(data, (0, ""))
     if not header:
         raise ParseError("no header row found")
     names = tuple(f.strip() for f in header.split(","))
@@ -238,7 +244,7 @@ def _parse_table(
     width = len(names)
     flat = array("d")  # 8 bytes a cell; a list would hold a 24-byte float object per cell
     rows = 0
-    for lineno, raw in lines:
+    for lineno, raw in data:
         parts = raw.split(",")
         if len(parts) != width:
             raise RaggedRow(f"expected {width} fields, got {len(parts)}", line=lineno)
@@ -263,9 +269,10 @@ def _parse_table(
         raise ParseError("no data rows")
     cells = np.frombuffer(flat, dtype=float).reshape(rows, width - 1)  # a view: no second copy
     finite = np.isfinite(cells)
-    if not finite.all():
+    if not finite.all():  # the file is read once more, on this path only, to name the line
         row, col = divmod(int(np.argmin(finite)), width - 1)
-        lineno, raw = next(itertools.islice(_data_lines(text), row + 1, None))
+        file.seek(0)
+        lineno, raw = next(itertools.islice(_data_lines(file, {}), row + 1, None))
         raise NonFiniteValue(
             f"line {lineno}: value {raw.split(',')[col + 1]!r} is not a finite number"
         )
@@ -286,8 +293,8 @@ def read_series_csv(path: str | Path) -> ProcessSeries:
     NonFiniteValue
         A value is NaN or infinite (with line number).
     """
-    with _reading(path) as text:
-        table = _parse_table(text, "t")
+    with _reading(path) as file:
+        table = _parse_table(file, "t")
         # rows are periods; a series stores variables x periods
         return ProcessSeries(values=table.cells.T, variable_labels=table.names)
 
@@ -318,14 +325,14 @@ def read_compliance_csv(path: str | Path) -> ComplianceMatrix:
     ------
     ParseError, RaggedRow, NonBinaryEntry
     """
-    with _reading(path) as text:
-        return ComplianceMatrix(entries=_parse_table(text, "competency_id", cell=_binary).cells)
+    with _reading(path) as file:
+        return ComplianceMatrix(entries=_parse_table(file, "competency_id", cell=_binary).cells)
 
 
 def read_costs_csv(path: str | Path) -> tuple[float, ...]:
     """Read per-competency activation costs (header ``competency_id,cost``)."""
-    with _reading(path) as text:
-        return tuple(_parse_table(text, "competency_id", ("cost",)).cells[:, 0].tolist())
+    with _reading(path) as file:
+        return tuple(_parse_table(file, "competency_id", ("cost",)).cells[:, 0].tolist())
 
 
 def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
@@ -335,8 +342,8 @@ def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     consecutive from a first period >= 1, not necessarily 1 (reports may
     begin after warmup).
     """
-    with _reading(path) as text:
-        table = _parse_table(text, "t", ("basic", "universal_competencies"), first=None)
+    with _reading(path) as file:
+        table = _parse_table(file, "t", ("basic", "universal_competencies"), first=None)
     return table.first, table.cells[:, 0], table.cells[:, 1]
 
 
@@ -347,7 +354,8 @@ def read_scenario_json(path: str | Path) -> Scenario:
     wrongly typed value raises ParseError; a well-typed scenario that breaks
     its own constraints raises InvalidScenario.
     """
-    with _reading(path) as text:
+    with _reading(path) as file:
+        text = file.read()  # before the try: a decode error is a ValueError too
         try:
             doc = json.loads(text)
             if not isinstance(doc, dict):
@@ -397,8 +405,8 @@ def load_mode_fixture(path: str | Path | None = None) -> ModeFixture:
     """
     if path is None:
         path = importlib.resources.files("ucindex") / "data" / _FIXTURE_RESOURCE
-    with _reading(path) as text:
-        table = _parse_table(text, "t", ("basic", "universal_competencies", "delta"))
+    with _reading(path) as file:
+        table = _parse_table(file, "t", ("basic", "universal_competencies", "delta"))
         try:
             tokens = [table.meta[f"declared_total_{n}"] for n in ("basic", "competency", "delta")]
             if any("_" in token or not token.isascii() for token in tokens):

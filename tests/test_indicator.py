@@ -7,6 +7,7 @@ from math import fsum
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ucindex.indicator as indicator
 from ucindex import (
@@ -839,6 +840,62 @@ class TestCompareModes:
         comparison = compare_modes(basic, competency)
         assert_exact_deltas(comparison)
         assert comparison.delta_total == 4948.375
+
+    # -0.0 passes the >= 0 check; subnormals, the largest finite values and equal pairs
+    EDGES = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1.0, 1e308, 1.7976931348623157e308]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[st.one_of(st.sampled_from(EDGES), st.floats(0, 1e308))] * 2),
+                    min_size=1, max_size=20), st.booleans())
+    @example([(-0.0, -0.0), (0.0, -0.0), (-0.0, 0.0), (5e-324, 0.0), (0.0, 5e-324)], False)
+    @example([(1e308, 1e308), (2.225073858507201e-308, 5e-324)], False)
+    @example([(1.7976931348623157e308, 0.0), (0.0, 1.7976931348623157e308)], False)
+    @example([(1.5, 2.5), (-0.0, 1e-300)], True)
+    @example([(-0.0, 8.510162095219329e307), (1.7976931348623157e308, 1.780488503565008e307)], False)
+    def test_one_variable_scalars_and_deltas_are_the_row_fsums(self, pairs, equal):
+        basic, competency = zip(*pairs)
+        competency = basic if equal else competency
+        try:
+            modes = [ingest_precomputed(x, label) for x, label in ((basic, "b"), (competency, "c"))]
+        except NonFiniteValue:  # a mode's total overflows
+            assume(False)
+        try:
+            total = fsum([*competency, *(-b for b in basic)])
+        except OverflowError:  # fsum's own, on partial sums near the largest float: raised as is
+            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+                compare_modes(*modes)
+            return
+        comparison = compare_modes(*modes)
+        want = {"basic_scalars": [fsum([b]) for b in basic],
+                "competency_scalars": [fsum([c]) for c in competency],
+                "delta_per_period": [fsum([c, -b]) for b, c in zip(basic, competency)]}
+        for name, values in want.items():
+            got = getattr(comparison, name)
+            assert np.array_equal(got, values)
+            assert np.signbit(got).tolist() == np.signbit(values).tolist()
+        assert comparison.delta_total == total
+
+    @pytest.mark.parametrize("n", [1, 2, 32])
+    def test_delta_total_is_the_fsum_of_both_modes(self, n):
+        rng = np.random.default_rng(n)
+        basic, competency = (IndicatorSeries(1, 10.0 ** rng.uniform(-5, 15, (4_000 // n, n)),
+                                             None, m) for m in ("b", "c"))
+        comparison = compare_modes(basic, competency)
+        assert comparison.delta_total == fsum(np.hstack((competency.values, -basic.values)).ravel())
+        if n > 1:
+            assert_exact_deltas(comparison)
+
+    def test_compare_holds_no_copy_of_a_mode(self):
+        rng = np.random.default_rng(4)
+        basic, competency = (IndicatorSeries(1, rng.uniform(0, 1e3, (20_000, 32)), None, m)
+                             for m in ("b", "c"))
+        tracemalloc.start()
+        try:
+            compare_modes(basic, competency)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < basic.values.nbytes, peak
 
     def test_direct_construction_enforces_shared_axis(self):
         a = ingest_precomputed([1.0, 2.0], "basic")

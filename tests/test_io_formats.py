@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.resources
+import json
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ucindex import (
     __version__,
@@ -19,6 +22,7 @@ from ucindex import (
     load_mode_fixture,
     read_series_csv,
 )
+from ucindex import io_formats
 from ucindex.io_formats import (
     _parse_table,
     atomic_write_text,
@@ -30,7 +34,7 @@ from ucindex.io_formats import (
     write_scenario_json,
     write_series_csv,
 )
-from ucindex.scenario import Scenario, ScenarioEvent
+from ucindex.scenario import Scenario, ScenarioEvent, generate_series, reference_scenario
 
 
 class TestSeriesCsv:
@@ -49,11 +53,11 @@ class TestSeriesCsv:
         # single-digit cells keep the text's lines small next to the 8-byte values, so a second
         # copy of the values (an array made from the parsed cells) would set the parse's peak
         n, t_max = 200, 500
-        text = "t," + ",".join(f"v{i}" for i in range(n)) + "\n" + "".join(
-            f"{t}," + ",".join(["7"] * n) + "\n" for t in range(1, t_max + 1))
+        lines = ["t," + ",".join(f"v{i}" for i in range(n)) + "\n"] + [
+            f"{t}," + ",".join(["7"] * n) + "\n" for t in range(1, t_max + 1)]
         tracemalloc.start()
         try:
-            cells = _parse_table(text, "t").cells
+            cells = _parse_table(iter(lines), "t").cells
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -388,3 +392,223 @@ def test_reader_errors_name_the_file_once(tmp_path, read, content, line):
     message = str(info.value)
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
     assert getattr(info.value, "line", None) == line
+
+
+def whole_text_table(data: bytes, columns: tuple[str, ...] | None, first: int | None):
+    """The oracle of the table reader: the value names, first t and cells of a file read whole
+    and numbered by the whole text's ``str.splitlines``, or the error it raises (unprefixed)."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    lines = [(i, raw) for i, raw in enumerate(text.splitlines(), 1)
+             if raw.strip() and not raw.strip().startswith("#")]
+    if not lines:
+        raise ParseError("no header row found")
+    (header_lineno, header), *rows = lines
+    names = tuple(f.strip() for f in header.split(","))
+    if names[0] != "t" or len(names) < 2 or columns is not None and names[1:] != columns:
+        spec = ",".join(columns) if columns else "<name1>,...,<namen>"
+        raise ParseError(f"header must be 't,{spec}'", line=header_lineno)
+    cells = []
+    for r, (lineno, raw) in enumerate(rows):
+        parts = raw.split(",")
+        if len(parts) != len(names):
+            raise RaggedRow(f"expected {len(names)} fields, got {len(parts)}", line=lineno)
+        if "_" in raw or not raw.isascii():
+            raise ParseError("only plain ASCII numbers are allowed, without '_'", line=lineno)
+        try:
+            t = int(parts[0])
+        except ValueError:
+            raise ParseError(f"t {parts[0]!r} is not an integer", line=lineno) from None
+        if first is None:
+            if t < 1:
+                raise ParseError(f"the first t must be >= 1, got {t}", line=lineno)
+            first = t
+        if t != first + r:
+            raise NonMonotonicTime(
+                f"expected t {first + r}, got {t} (must be consecutive from {first})", line=lineno)
+        try:
+            cells.append([float(token) for token in parts[1:]])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    if not cells:
+        raise ParseError("no data rows")
+    finite = np.isfinite(cells)
+    if not finite.all():  # reported after every other error, at the first cell in row order
+        row, col = divmod(int(np.argmin(finite)), len(names) - 1)
+        lineno, raw = rows[row]
+        raise NonFiniteValue(f"line {lineno}: value {raw.split(',')[col + 1]!r} is not a finite number")
+    return names[1:], first, np.array(cells)
+
+
+def outcome(read):
+    """``read()``'s names, first t and cells, or its error line as the CLI prints it."""
+    try:
+        names, first, cells = read()[:3]
+    except UcindexError as exc:
+        return f"error: {type(exc).__name__}: {exc}"
+    return names, first, cells.tolist(), np.signbit(cells).tolist()
+
+
+BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BAD_UTF8 = [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"]
+TOKENS = ["nan", "inf", "-Infinity", "1e999", "1_0", "x", " 7 ", "\u00e9", "", "-0.0", "5e-324"]
+SCALAR_COLUMNS = ("basic", "universal_competencies")
+
+
+@st.composite
+def table_files(draw):
+    """A series or scalar table file, as (scalar?, bytes): rows of repr floats with bad cells,
+    blank, comment and ragged lines, keys out of order, a BOM, line breaks of every kind that
+    ``str.splitlines`` knows and bytes that are not UTF-8, some of them far into the file."""
+    scalar = draw(st.booleans())
+    n = 2 if scalar else draw(st.integers(1, 3))
+    rows = draw(st.sampled_from([1, 2, 5, 1500]))  # 1500 rows run past the first decode buffers
+    first = draw(st.integers(0, 3)) if scalar else 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-1, 1, (rows, n)) * 10.0 ** rng.integers(-320, 309, (rows, n))
+    lines = ["t," + ",".join(SCALAR_COLUMNS if scalar else (f"v{i}" for i in range(n)))]
+    lines += [f"{first + r}," + ",".join(map(repr, row)) for r, row in enumerate(values.tolist())]
+    for _ in range(draw(st.integers(0, 2))):  # a bad cell or key
+        at, col = draw(st.integers(1, rows)), draw(st.integers(0, n))
+        parts = lines[at].split(",")
+        parts[col] = draw(st.sampled_from(TOKENS) if col else st.integers(-1, rows + 2).map(str))
+        lines[at] = ",".join(parts)
+    for _ in range(draw(st.integers(0, 2))):  # before the header too
+        extra = draw(st.sampled_from(["", "   ", "# k=v", "#", "1,2,3,4,5", "t," * n + "t"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=1, max_size=3))
+    text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+    if draw(st.booleans()):
+        text = text[:-1]  # the last line unended, or ended by the first half of a \r\n
+    data = ("\ufeff" if draw(st.booleans()) else "").encode() + text.encode("utf-8")
+    if draw(st.booleans()):
+        at = int(draw(st.floats(0, 1)) * len(data))
+        data = data[:at] + draw(st.sampled_from(BAD_UTF8)) + data[at:]
+    return scalar, data
+
+
+DEEP_ROWS = "t,a\n" + "".join(f"{t},{t}.25\n" for t in range(1, 2001))  # 16 KiB and more
+
+
+class TestStreamedReader:
+    @settings(max_examples=300, deadline=None)
+    @given(table_files())
+    @example((False, DEEP_ROWS.replace("\n9,9.25", "\n9,nan").replace("\n1999,", "\n1999,1,")
+              .encode()))  # a ragged row after a nan
+    @example((False, b"t,a,b\n1,1e308,1e308\n2,-inf,1\n"))  # finite cells whose sum overflows
+    @example((False, DEEP_ROWS.replace("\n1999,1999.25", "\n1999,nan").encode()))
+    @example((True, b"t,basic,universal_competencies\n" + b"\n".join(
+        b"%d,1,2" % t for t in range(1, 3000)) + b"\n3000,\xff,1\n"))
+    @example((False, DEEP_ROWS.replace("\n2,", "\n3,").encode() + b"\xc3("))  # bad key, bad end
+    @example((False, b"\xef\xbb\xbf" + DEEP_ROWS.encode()))
+    @example((False, "".join(f"# {b!r}{b}\n{b}" for b in BREAKS).encode() + DEEP_ROWS.encode()))
+    @example((True, "\r\n".join(["# x=1", "", "t,basic,universal_competencies", "\x0c",
+                                  "4,1,2\u2028", "5,3,4\x855,6,7"]).encode()))
+    def test_gives_the_cells_or_the_error_of_the_whole_text(self, tmp_path_factory, case):
+        scalar, data = case
+        columns, first = (SCALAR_COLUMNS, None) if scalar else (None, 1)
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_bytes(data)
+
+        def streamed():
+            with io_formats._reading(path) as file:
+                return _parse_table(file, "t", columns, first=first)
+
+        def whole():
+            try:
+                return whole_text_table(data, columns, first)
+            except UcindexError as exc:
+                exc.args = (f"{path}: {exc}",)
+                raise
+
+        assert outcome(streamed) == outcome(whole)
+        if not scalar and not isinstance(outcome(whole), str) and len(set(outcome(whole)[0])) > 1:
+            series = read_series_csv(path)
+            assert np.array_equal(series.values.T, whole()[2])
+        elif scalar and not isinstance(outcome(whole), str):
+            first_t, basic, competency = read_scalar_csv(path)
+            assert first_t == whole()[1] and np.array_equal(np.c_[basic, competency], whole()[2])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("data, message", [
+        (b"t,a\n1,1\n\n2,nan\n", "NonFiniteValue: {path}: line 4: value 'nan' is not a finite number"),
+        (b"t,a\n" + b"1,1\n" * 3000 + b"\xff", "ParseError: {path}: not UTF-8 text (byte 12004: "
+                                               "invalid start byte)"),
+        (b"t,a\n1,1\n2,2.5\n", None),
+    ], ids=["nan", "bad-utf8", "good"])
+    def test_a_pipe_reads_as_a_file_does(self, data, message):
+        read, write = os.pipe()
+        try:
+            os.write(write, data)  # within the pipe's buffer
+            os.close(write)
+            path = f"/dev/fd/{read}"
+            if message is None:
+                assert read_series_csv(path).values.tolist() == [[1.0, 2.5]]
+                return
+            with pytest.raises(UcindexError) as info:
+                read_series_csv(path)
+            assert f"{type(info.value).__name__}: {info.value}" == message.format(path=path)
+        finally:
+            os.close(read)
+
+    def test_the_packaged_fixture_reads_as_its_whole_text(self):
+        resource = importlib.resources.files("ucindex") / "data" / "mode_comparison_57.csv"
+        columns = ("basic", "universal_competencies", "delta")
+        _, _, cells = whole_text_table(resource.read_bytes(), columns, 1)
+        with io_formats._reading(resource) as file:
+            table = _parse_table(file, "t", columns)
+        assert np.array_equal(table.cells, cells)
+        assert table.meta["declared_total_basic"] == "5069.93"
+        fixture = load_mode_fixture()
+        assert np.array_equal(np.c_[fixture.basic, fixture.competency, fixture.delta_printed], cells)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("cut", [None, -7])
+    def test_scenario_json_reads_as_its_whole_text(self, tmp_path, newline, cut):
+        doc = json.dumps(dataclasses.asdict(reference_scenario()), indent=2)
+        path = tmp_path / "scenario.json"
+        path.write_bytes(doc.replace("\n", newline)[:cut].encode())
+        if cut is None:
+            assert read_scenario_json(path) == reference_scenario()
+            return
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(path.read_text(encoding="utf-8"))  # universal newlines, as read whole
+        with pytest.raises(ParseError) as streamed:
+            read_scenario_json(path)
+        assert str(streamed.value) == f"{path}: invalid JSON ({whole.value})"
+
+    def test_bad_utf8_far_into_a_scenario_names_its_file_offset(self, tmp_path):
+        data = b'{"t_max": 5,' + b" " * 20_000 + b'"n": "\xff"}'
+        path = tmp_path / "scenario.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            read_scenario_json(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte 20018: invalid start byte)"
+        assert data.index(b"\xff") == 20018
+
+
+class TestReaderMemory:
+    """Each reader's peak is its values (and the series' own copy), not its file's text."""
+
+    def peak(self, read, path) -> int:
+        tracemalloc.start()
+        try:
+            read(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_simulated_series_is_read_in_less_than_its_size(self, tmp_path):
+        scenario = dataclasses.replace(reference_scenario(), n=200, t_max=500)
+        path = tmp_path / "basic.csv"
+        write_series_csv(path, generate_series(scenario)[0])
+        assert self.peak(read_series_csv, path) < path.stat().st_size
+
+    def test_scalars_are_read_in_less_than_their_size(self, tmp_path):
+        basic, competency = (10.0 ** np.random.default_rng(0).uniform(-2.0, 17.0, (2, 20_000))).tolist()
+        path = tmp_path / "plot.csv"
+        path.write_text("t,basic,universal_competencies\n" + "".join(
+            f"{t},{b!r},{m!r}\n" for t, b, m in zip(range(13, 20_013), basic, competency)))
+        assert self.peak(read_scalar_csv, path) < path.stat().st_size

@@ -32,8 +32,9 @@ from ucindex.report import _fmt2, report_chunks, report_metadata, window_metadat
 
 SCALAR_HEADER = "t,basic,universal_competencies"
 # rows whose report text crosses a slice boundary once (two row slices) or several times
-ROWS = {("csv", "once"): 12_000, ("csv", "several"): 40_000,
-        ("table", "once"): 20_000, ("table", "several"): 50_000}
+# (a slice is 2,730 rows of three floats at 128 bytes each)
+ROWS = {("csv", "once"): 3_000, ("csv", "several"): 10_000,
+        ("table", "once"): 5_000, ("table", "several"): 12_500}
 
 
 def joined_report(c, fmt: str, metadata) -> str:
@@ -82,7 +83,7 @@ class TestRowChunks:
     def test_each_chunk_is_one_slice_of_numbered_rows(self, rows, width, step, first):
         values = np.arange(rows * width, dtype=float).reshape(rows, width) / 3  # a list a row
         column = -np.arange(rows, dtype=float)  # a float a row
-        with mock.patch.object(io_formats, "CHUNK_BYTES", 32 * (width + 1) * step):
+        with mock.patch.object(io_formats, "CHUNK_BYTES", 128 * (width + 1) * step):
             chunks = list(row_chunks(first, lambda t, row, x: f"{t}:{row}:{x!r}", values, column))
         lines = [f"{first + r}:{row}:{x!r}"
                  for r, (row, x) in enumerate(zip(values.tolist(), column.tolist()))]
@@ -92,8 +93,8 @@ class TestRowChunks:
         assert list(row_chunks(1, "{}:{}".format, np.empty((0, 3)))) == []
         assert list(row_chunks(1, "{}:{}:{}".format, np.empty(0), np.empty(0))) == []
 
-    def test_the_cap_is_floats_at_32_bytes(self):
-        rows = CHUNK_BYTES // 32
+    def test_the_cap_is_floats_at_128_bytes(self):
+        rows = CHUNK_BYTES // 128
         chunks = list(row_chunks(1, "{}".format, np.zeros(2 * rows + 1)))
         assert [chunk.count("\n") for chunk in chunks] == [rows, rows, 1]
         assert chunks[2] == f"{2 * rows + 1}\n"
@@ -203,7 +204,7 @@ class TestMemoryAndFailures:
         finally:
             tracemalloc.stop()
         assert out.stat().st_size > 9 * CHUNK_BYTES
-        assert peak < 8 * 2**20, peak
+        assert peak < CHUNK_BYTES, peak  # a slice's floats, strings and bytes, and the writer
 
     @staticmethod
     def failing_chunks():
