@@ -9,9 +9,8 @@ half-written file behind; ``staged_writes`` extends that to a set of files
 that appear together or not at all. A writer takes the text as chunks, one
 slice of rows each (``row_chunks``), so no output is ever held whole.
 
-Every reader reads its file once, a line at a time, in ``_reading`` (errors name the
-file), and holds none of its bytes, text or lines whole; one table parser serves every
-CSV, with errors naming the physical line (as the whole text's ``splitlines`` numbers it).
+Every reader reads its file once, a line at a time, in ``_reading`` (errors name the file),
+and holds no whole copy of it; one table parser serves every CSV, errors naming the line.
 Values must be finite plain decimals (no ``nan``, ``inf``, overflow or
 ``_`` digit grouping), in data cells and the fixture's declared totals alike. ``metadata_lines`` writes every ``# key=value`` block.
 
@@ -154,10 +153,12 @@ def _reading(path) -> Iterator[TextIO]:
     source = Path(path) if isinstance(path, str) else path
     try:
         with source.open(encoding="utf-8") as file:
-            yield file if file.seekable() else io.StringIO(file.read())
+            piecewise = file.seekable()
+            yield file if piecewise else io.StringIO(file.read())
     except (UnicodeDecodeError, UcindexError) as exc:
-        try:  # on the error path only: whole, for the offset from the file's start
-            source.read_bytes().decode("utf-8")
+        try:  # on the error path only, a file read in pieces is decoded whole, for its offsets
+            if piecewise:
+                source.read_bytes().decode("utf-8")
         except UnicodeDecodeError as whole:
             exc = whole
         if isinstance(exc, UnicodeDecodeError):

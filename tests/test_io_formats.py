@@ -438,7 +438,8 @@ def whole_text_table(data: bytes, columns: tuple[str, ...] | None, first: int | 
     if not finite.all():  # reported after every other error, at the first cell in row order
         row, col = divmod(int(np.argmin(finite)), len(names) - 1)
         lineno, raw = rows[row]
-        raise NonFiniteValue(f"line {lineno}: value {raw.split(',')[col + 1]!r} is not a finite number")
+        token = raw.split(",")[col + 1]
+        raise NonFiniteValue(f"line {lineno}: value {token!r} is not a finite number")
     return names[1:], first, np.array(cells)
 
 
@@ -533,7 +534,8 @@ class TestStreamedReader:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     @pytest.mark.parametrize("data, message", [
-        (b"t,a\n1,1\n\n2,nan\n", "NonFiniteValue: {path}: line 4: value 'nan' is not a finite number"),
+        (b"t,a\n1,1\n\n2,nan\n",
+         "NonFiniteValue: {path}: line 4: value 'nan' is not a finite number"),
         (b"t,a\n" + b"1,1\n" * 3000 + b"\xff", "ParseError: {path}: not UTF-8 text (byte 12004: "
                                                "invalid start byte)"),
         (b"t,a\n1,1\n2,2.5\n", None),
@@ -562,7 +564,8 @@ class TestStreamedReader:
         assert np.array_equal(table.cells, cells)
         assert table.meta["declared_total_basic"] == "5069.93"
         fixture = load_mode_fixture()
-        assert np.array_equal(np.c_[fixture.basic, fixture.competency, fixture.delta_printed], cells)
+        printed = np.c_[fixture.basic, fixture.competency, fixture.delta_printed]
+        assert np.array_equal(printed, cells)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("cut", [None, -7])
@@ -607,7 +610,8 @@ class TestReaderMemory:
         assert self.peak(read_series_csv, path) < path.stat().st_size
 
     def test_scalars_are_read_in_less_than_their_size(self, tmp_path):
-        basic, competency = (10.0 ** np.random.default_rng(0).uniform(-2.0, 17.0, (2, 20_000))).tolist()
+        rng = np.random.default_rng(0)
+        basic, competency = (10.0 ** rng.uniform(-2.0, 17.0, (2, 20_000))).tolist()
         path = tmp_path / "plot.csv"
         path.write_text("t,basic,universal_competencies\n" + "".join(
             f"{t},{b!r},{m!r}\n" for t, b, m in zip(range(13, 20_013), basic, competency)))
