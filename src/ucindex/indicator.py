@@ -59,12 +59,12 @@ INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on the work held at once: on each slice of output rows, all it allocates (about 128
-# bytes a float, io_formats.row_chunks), and on each slice of values ModeComparison sums (32 bytes
-# a float). A chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12;
-# 1 from n = 257) keeps its window stack (p x k x n) within the cap, and the n its Gram rows to one
-# tile. window_indicator forms a larger Gram matrix in tiles of max(1, CHUNK_BYTES // (8 n)) rows
-# (131 at n = 1000), one at a time. A 4 MiB cap raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# Byte cap on the work held at once. A slice of output rows (io_formats.row_chunks) counts all it
+# allocates, about 128 bytes a float; ModeComparison sums a sixteenth of it at a time. A chunk of p
+# = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; 1 from n = 257) keeps
+# its window stack within the cap, and the n its Gram rows to one tile; window_indicator forms a
+# larger Gram matrix in tiles of max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000). A 4 MiB cap
+# raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -206,8 +206,9 @@ class ModeComparison:
 
 
 def _signed_slices(basic: IndicatorSeries, competency: IndicatorSeries) -> Iterator[np.ndarray]:
-    """Competency values beside negated basic values, a slice of periods at a time, never whole."""
-    step = max(1, CHUNK_BYTES // (64 * basic.n))  # a row's 2n floats take 64 n bytes as a list
+    """Competency values beside negated basic values, a slice of periods at a time, never whole:
+    as lists (64 n bytes a row) a sixteenth of the cap, as pymalloc keeps the arenas they fill."""
+    step = max(1, CHUNK_BYTES // (1024 * basic.n))
     for r in range(0, len(basic.values), step):
         yield np.hstack((competency.values[r:r + step], -basic.values[r:r + step]))
 

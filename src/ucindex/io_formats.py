@@ -153,8 +153,7 @@ def _reading(path) -> Iterator[TextIO]:
     source = Path(path) if isinstance(path, str) else path
     try:
         with source.open(encoding="utf-8") as file:
-            piecewise = file.seekable()
-            yield file if piecewise else io.StringIO(file.read())
+            yield file if (piecewise := file.seekable()) else io.StringIO(file.read())
     except (UnicodeDecodeError, UcindexError) as exc:
         try:  # on the error path only, a file read in pieces is decoded whole, for its offsets
             if piecewise:
