@@ -227,10 +227,10 @@ def _parse_table(
 ) -> _Table:
     """Parse a CSV table from an open file: header ``key,<value columns>``, then one row per key.
 
-    ``columns`` names the value columns exactly; None accepts any nonempty list. Keys are
-    integers consecutive from ``first`` (None: from whatever the first row holds, at least 1).
-    ``cell`` parses one row's value tokens, given the line number for its errors; the parsed
-    cells must be finite.
+    ``columns`` names the value columns exactly; None accepts any nonempty
+    list. Keys are integers consecutive from ``first`` (None: from whatever
+    the first row holds, at least 1). ``cell`` parses one row's value tokens,
+    given the line number for its errors; the parsed cells must be finite.
     """
     meta: dict[str, str] = {}
     data = _data_lines(file, meta)
