@@ -187,11 +187,8 @@ class ModeComparison:
         if basic.periods != competency.periods:
             spans = (f"{m.first_period}..{m.t_max}" for m in (basic, competency))
             raise ConfigMismatch("defined periods differ: {} vs {}".format(*spans))
-        if basic.n == 1:  # one IEEE add is correctly rounded, as an fsum of two values is
-            delta = competency.values[:, 0] - basic.values[:, 0] + 0.0  # fsum's 0.0 for -0.0
-        else:
-            rows = (row for signed in _signed_slices(basic, competency) for row in signed.tolist())
-            delta = np.fromiter(map(fsum, rows), float, len(basic.values))
+        rows = (row for signed in _signed_slices(basic, competency) for row in signed.tolist())
+        delta = np.fromiter(map(fsum, rows), float, len(basic.values))
         for name, arr in (("basic_scalars", scalar_per_period(basic)),
                           ("competency_scalars", scalar_per_period(competency)),
                           ("delta_per_period", delta)):
@@ -208,7 +205,7 @@ class ModeComparison:
 def _signed_slices(basic: IndicatorSeries, competency: IndicatorSeries) -> Iterator[np.ndarray]:
     """Competency values beside negated basic values, a slice of periods at a time, never whole:
     as lists (64 n bytes a row) a sixteenth of the cap, as pymalloc keeps the arenas they fill."""
-    step = max(1, CHUNK_BYTES // (1024 * basic.n))
+    step = max(1, CHUNK_BYTES // (1024 * max(1, basic.n)))
     for r in range(0, len(basic.values), step):
         yield np.hstack((competency.values[r:r + step], -basic.values[r:r + step]))
 
@@ -387,8 +384,6 @@ def scalar_per_period(series: IndicatorSeries) -> np.ndarray:
     Summing these scalars reproduces the series total up to the rounding of
     each scalar.
     """
-    if series.n == 1:
-        return series.values[:, 0] + 0.0  # fsum of one value is the value, but 0.0 for -0.0
     # a row at a time: one list of every value would cost about 32 bytes per value
     return np.fromiter(map(fsum, map(np.ndarray.tolist, series.values)), float, len(series.values))
 

@@ -791,6 +791,14 @@ class TestCompareModes:
         assert not comparison.delta_per_period.any()
         assert comparison.delta_total == 0.0
 
+    def test_zero_variable_series_have_zero_deltas(self):
+        basic, competency = (IndicatorSeries(1, np.zeros((3, 0)), None, m) for m in ("b", "c"))
+        comparison = compare_modes(basic, competency)
+        for arr in (comparison.basic_scalars, comparison.competency_scalars,
+                    comparison.delta_per_period):
+            assert np.array_equal(arr, np.zeros(3)) and not np.signbit(arr).any()
+        assert comparison.delta_total == 0.0
+
     def test_fixture_row_deltas(self):
         fixture = load_mode_fixture()
         basic = ingest_precomputed(fixture.basic, "basic")
@@ -883,8 +891,7 @@ class TestCompareModes:
                                              None, m) for m in ("b", "c"))
         comparison = compare_modes(basic, competency)
         assert comparison.delta_total == fsum(np.hstack((competency.values, -basic.values)).ravel())
-        if n > 1:
-            assert_exact_deltas(comparison)
+        assert_exact_deltas(comparison)
 
     def test_compare_holds_no_copy_of_a_mode(self):
         rng = np.random.default_rng(4)
