@@ -95,16 +95,15 @@ def cmd_indicator(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = WindowConfig(args.window, args.standardize, args.warmup)
-    basic_series = read_series_csv(args.basic)
+    basic = read_series_csv(args.basic)
     if args.universal:
-        competency_series = read_series_csv(args.universal)
+        competency = read_series_csv(args.universal)
         derivation = None
     else:
-        matrix = read_compliance_csv(args.compliance)
-        competency_series = derive_mode_series(basic_series, matrix, args.derive)
+        competency = derive_mode_series(basic, read_compliance_csv(args.compliance), args.derive)
         derivation = args.derive
-    basic = indicator_series(basic_series, config, mode_label=BASIC_LABEL)
-    competency = indicator_series(competency_series, config, mode_label=COMPETENCY_LABEL)
+    basic = indicator_series(basic, config, mode_label=BASIC_LABEL)  # rebound: frees the input
+    competency = indicator_series(competency, config, mode_label=COMPETENCY_LABEL)
     comparison = compare_modes(basic, competency)
     chunks = report_chunks(comparison, args.format, derivation, args.stamp)
     with staged_writes() as write:
@@ -140,9 +139,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    first, basic_scalars, competency_scalars = read_scalar_csv(args.scalars)
-    basic = ingest_precomputed(basic_scalars, BASIC_LABEL, first_period=first)
-    competency = ingest_precomputed(competency_scalars, COMPETENCY_LABEL, first_period=first)
+    first, basic, competency = read_scalar_csv(args.scalars)  # no column outlives its copy
+    basic = ingest_precomputed(basic, BASIC_LABEL, first_period=first)
+    competency = ingest_precomputed(competency, COMPETENCY_LABEL, first_period=first)
     chunks = report_chunks(compare_modes(basic, competency), args.format, stamp=args.stamp)
     _write_or_print(chunks, args.out)
     return 0

@@ -18,7 +18,7 @@ from math import fsum
 import numpy as np
 
 from .errors import DimensionMismatch, NonBinaryEntry, NonFiniteValue
-from .process_model import ProcessSeries
+from .process_model import ProcessSeries, _Fresh
 
 
 @dataclass(frozen=True)
@@ -138,4 +138,4 @@ def derive_mode_series(
     else:
         factors = counts
     values = series.values * factors[:, np.newaxis]
-    return ProcessSeries(values=values, variable_labels=series.variable_labels)
+    return ProcessSeries(values=values.view(_Fresh), variable_labels=series.variable_labels)

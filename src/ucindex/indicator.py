@@ -30,9 +30,9 @@ an explicitly non-default variant. On monetary inputs the indicator is
 therefore expressed in squared input units (see ``INDICATOR_UNIT``).
 The kernel functions raise NonFiniteValue when their arithmetic overflows.
 
-Totals and deltas are exact (Shewchuk) sums via ``math.fsum`` of the stored
-values; a delta, per period or in total, is one sum over the competency values
-and the negated basic values, so large, nearly equal modes do not cancel.
+Totals, per-period scalars and deltas are exact sums, rounded once (``math.fsum``, or a
+``Fraction`` sum where fsum's partial sums overflow); a delta is one sum over the competency
+values and the negated basic values, so large, nearly equal modes do not cancel.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from math import fsum
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,18 +53,18 @@ from .errors import (
     NonFiniteValue,
     SeriesTooShort,
 )
-from .process_model import ProcessSeries, slice_window
+from .process_model import ProcessSeries, _Fresh, slice_window
 
 INDICATOR_UNIT = "input-unit^2"
 
 MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
-# Byte cap on the work held at once. A slice of output rows (io_formats.row_chunks) counts all it
-# allocates, about 128 bytes a float; ModeComparison sums a sixteenth of it at a time. A chunk of p
-# = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24, k = 12; 1 from n = 257) keeps
-# its window stack within the cap, and the n its Gram rows to one tile; window_indicator forms a
-# larger Gram matrix in tiles of max(1, CHUNK_BYTES // (8 n)) rows (131 at n = 1000). A 4 MiB cap
-# raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# Byte cap on the work held at once. Output rows (io_formats.row_chunks) take a quarter a slice,
+# all they allocate at 128 bytes a float; exact sums a sixteenth, as lists at 32 bytes a value that
+# pymalloc keeps. A chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24,
+# k = 12; 1 from n = 257) keeps its window stack within the cap, and the n its Gram rows to one
+# tile; window_indicator forms a larger Gram matrix in tiles of max(1, CHUNK_BYTES // (8 n)) rows
+# (131 at n = 1000). A 4 MiB cap raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -112,7 +112,7 @@ class IndicatorSeries:
     ``values[r, i]`` is the indicator of variable i at period
     ``first_period + r``; periods run consecutively to ``t_max``. ``total``
     is the exact sum of every stored value. ``config`` is None for series
-    ingested from precomputed scalars.
+    ingested from precomputed scalars. ``values`` is copied or adopted as in ``ProcessSeries``.
     """
 
     first_period: int
@@ -124,7 +124,7 @@ class IndicatorSeries:
     def __post_init__(self) -> None:
         if self.first_period < 1:
             raise DimensionMismatch(f"first defined period must be >= 1, got {self.first_period}")
-        arr = np.array(self.values, dtype=float, copy=True)
+        arr = np.array(self.values, dtype=float, copy=not isinstance(self.values, _Fresh))
         if arr.ndim != 2:
             raise DimensionMismatch(f"values must be periods x variables, got shape {arr.shape}")
         if len(arr) == 0:
@@ -137,7 +137,7 @@ class IndicatorSeries:
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         try:
-            total = fsum(arr.ravel())
+            total = _exact_sum(_flat, arr)
         except OverflowError:
             raise NonFiniteValue(f"{self.mode_label}: the indicator total overflows") from None
         object.__setattr__(self, "total", total)
@@ -181,33 +181,43 @@ class ModeComparison:
         if basic.n != competency.n:
             raise ConfigMismatch(f"variable count differs: {basic.n} vs {competency.n}")
         if basic.config != competency.config:
-            raise ConfigMismatch(
-                f"window settings differ: {basic.config} vs {competency.config}"
-            )
+            raise ConfigMismatch(f"window settings differ: {basic.config} vs {competency.config}")
         if basic.periods != competency.periods:
             spans = (f"{m.first_period}..{m.t_max}" for m in (basic, competency))
             raise ConfigMismatch("defined periods differ: {} vs {}".format(*spans))
-        rows = (row for signed in _signed_slices(basic, competency) for row in signed.tolist())
-        delta = np.fromiter(map(fsum, rows), float, len(basic.values))
+        rows = (row for s in _slices(competency.values, basic.values) for row in s.tolist())
+        deltas = map(_exact_sum, itertools.repeat(iter), rows)  # _exact_sum(iter, row) each
         for name, arr in (("basic_scalars", scalar_per_period(basic)),
                           ("competency_scalars", scalar_per_period(competency)),
-                          ("delta_per_period", delta)):
+                          ("delta_per_period", np.fromiter(deltas, float, len(basic.values)))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        values = (signed.ravel().tolist() for signed in _signed_slices(basic, competency))
-        object.__setattr__(self, "delta_total", fsum(itertools.chain.from_iterable(values)))
+        total = _exact_sum(_flat, competency.values, basic.values)  # finite: |C - B| <= max(C, B)
+        object.__setattr__(self, "delta_total", total)
 
     @property
     def periods(self) -> range:
         return self.basic.periods
 
 
-def _signed_slices(basic: IndicatorSeries, competency: IndicatorSeries) -> Iterator[np.ndarray]:
-    """Competency values beside negated basic values, a slice of periods at a time, never whole:
-    as lists (64 n bytes a row) a sixteenth of the cap, as pymalloc keeps the arenas they fill."""
-    step = max(1, CHUNK_BYTES // (1024 * max(1, basic.n)))
-    for r in range(0, len(basic.values), step):
-        yield np.hstack((competency.values[r:r + step], -basic.values[r:r + step]))
+def _slices(values: np.ndarray, *negated: np.ndarray) -> Iterator[np.ndarray]:
+    """``values`` beside each ``negated`` array, negated, a sixteenth of the cap at a time."""
+    step = max(1, CHUNK_BYTES // (512 * max(1, values.shape[1] * (1 + len(negated)))))
+    for r in range(0, len(values), step):
+        yield np.hstack([values[r:r + step], *(-a[r:r + step] for a in negated)])
+
+
+def _flat(*arrays: np.ndarray) -> Iterator[float]:
+    return itertools.chain.from_iterable(s.ravel().tolist() for s in _slices(*arrays))
+
+
+def _exact_sum(values: Callable[..., Iterable[float]], *args) -> float:
+    """All of ``values(*args)`` summed exactly, rounded once (OverflowError if out of range)."""
+    try:
+        return fsum(values(*args))
+    except OverflowError:  # one of fsum's partial sums passed the largest float, maybe not the sum
+        from fractions import Fraction  # here: it imports decimal, which nothing else needs
+        return float(sum(map(Fraction, values(*args))))
 
 
 def _raise_non_finite(error: str, flag: int) -> None:
@@ -360,7 +370,7 @@ def indicator_series(
             f"(k={config.k}, warmup={config.warmup.value})"
         )
     rows = np.empty((len(ts), series.n))
-    per_chunk = max(1, CHUNK_BYTES // (8 * series.n * max(series.n, config.k)))
+    per_chunk = max(1, CHUNK_BYTES // (8 * max(1, series.n) * max(series.n, config.k)))
     t = ts.start
     while t in ts:
         k = min(config.k, t - 1)
@@ -375,17 +385,17 @@ def indicator_series(
             if count == 1:
                 raise NonFiniteValue(f"{mode_label}, period {t}: {exc}") from None
             per_chunk = 1  # redo this chunk a period at a time, so the error names the period
-    return IndicatorSeries(ts.start, rows, config, mode_label)
+    return IndicatorSeries(ts.start, rows.view(_Fresh), config, mode_label)
 
 
 def scalar_per_period(series: IndicatorSeries) -> np.ndarray:
-    """Collapse each defined period's n indicator values into one scalar (their exact fsum).
+    """Collapse each defined period's n indicator values into one scalar (their exact sum).
 
     Summing these scalars reproduces the series total up to the rounding of
     each scalar.
     """
-    # a row at a time: one list of every value would cost about 32 bytes per value
-    return np.fromiter(map(fsum, map(np.ndarray.tolist, series.values)), float, len(series.values))
+    rows = (row for s in _slices(series.values) for row in s.tolist())
+    return np.fromiter(map(_exact_sum, itertools.repeat(iter), rows), float, len(series.values))
 
 
 def ingest_precomputed(
@@ -409,9 +419,8 @@ def ingest_precomputed(
     NonFiniteValue
         If any value is NaN or infinite, or their total overflows.
     """
-    scalars = scalars if isinstance(scalars, np.ndarray) else list(scalars)  # an array at once
-    values = np.asarray(scalars, dtype=float)[:, np.newaxis]
-    return IndicatorSeries(first_period, values, None, mode_label)
+    values = np.array(scalars if isinstance(scalars, np.ndarray) else list(scalars), dtype=float)
+    return IndicatorSeries(first_period, values[:, np.newaxis].view(_Fresh), None, mode_label)
 
 
 def compare_modes(basic: IndicatorSeries, competency: IndicatorSeries) -> ModeComparison:

@@ -55,7 +55,7 @@ from .errors import (
     UcindexError,
 )
 from .indicator import CHUNK_BYTES
-from .process_model import ProcessSeries
+from .process_model import ProcessSeries, _Fresh
 from .scenario import Scenario, ScenarioEvent
 
 _FIXTURE_RESOURCE = "mode_comparison_57.csv"
@@ -68,11 +68,11 @@ def row_chunks(first: int, line: Callable[..., str], *arrays: np.ndarray) -> Ite
     """One ``"\\n"``-ended chunk a slice of rows: ``line(first + r, row r of each array...)``.
 
     A row is a Python float (1-D array) or a list of them (2-D); a slice's floats, row strings,
-    chunk and bytes, about 128 bytes a float, fit in CHUNK_BYTES. Zero rows give no chunk. Output
-    goes in chunks, not lines, as stdout may be write-through (``-u``, ``PYTHONUNBUFFERED``): a
-    system call a write, so writing 100k report rows a line at a time took about 30 % longer.
+    chunk and bytes, about 128 bytes a float, fit in a quarter of CHUNK_BYTES (682 report rows).
+    Zero rows give no chunk. Chunks, not lines, as stdout may be write-through (``-u``): a system
+    call a write, so writing 100k report rows a line at a time took about 30 % longer.
     """
-    step = max(1, CHUNK_BYTES // (128 * max(1, sum(a[:1].size for a in arrays))))
+    step = max(1, CHUNK_BYTES // 4 // (128 * max(1, sum(a[:1].size for a in arrays))))
     for start in range(0, len(arrays[0]), step):
         rows = (a[start:start + step].tolist() for a in arrays)
         yield "\n".join(itertools.starmap(line, zip(itertools.count(first + start), *rows))) + "\n"
@@ -295,8 +295,8 @@ def read_series_csv(path: str | Path) -> ProcessSeries:
     """
     with _reading(path) as file:
         table = _parse_table(file, "t")
-        # rows are periods; a series stores variables x periods
-        return ProcessSeries(values=table.cells.T, variable_labels=table.names)
+        # rows are periods; a series stores variables x periods, and adopts the parse buffer
+        return ProcessSeries(values=table.cells.T.view(_Fresh), variable_labels=table.names)
 
 
 def write_series_csv(path: str | Path, series: ProcessSeries, comments: Iterable[str] = (),

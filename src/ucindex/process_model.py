@@ -19,13 +19,17 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionMismatch, NonFiniteValue, WindowOutOfRange
 
 
+class _Fresh(np.ndarray):
+    """Marks an array that ucindex has just made and holds nowhere else: a series adopts it."""
+
+
 @dataclass(frozen=True)
 class ProcessSeries:
     """Dense n-variable indicator series.
 
-    ``values`` holds the value of variable i at period t in row i,
-    column t-1 (shape n x t_max). The array is copied on construction and
-    frozen read-only.
+    ``values`` holds the value of variable i at period t in row i, column t-1 (shape n x
+    t_max). It is copied and frozen read-only; only a ``_Fresh`` view of an array ucindex has
+    just made (a parse buffer, a derived or simulated mode, kernel rows) is adopted as it is.
 
     Parameters
     ----------
@@ -39,7 +43,7 @@ class ProcessSeries:
     variable_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=float, copy=True)
+        arr = np.array(self.values, dtype=float, copy=not isinstance(self.values, _Fresh))
         if arr.ndim != 2 or arr.shape[1] < 1:
             raise DimensionMismatch(
                 f"values must be an n x t_max matrix with t_max >= 1, got shape {arr.shape}"
@@ -51,9 +55,7 @@ class ProcessSeries:
         labels = tuple(self.variable_labels)
         object.__setattr__(self, "variable_labels", labels)
         if len(labels) != arr.shape[0]:
-            raise DimensionMismatch(
-                f"{len(labels)} variable labels for {arr.shape[0]} variables"
-            )
+            raise DimensionMismatch(f"{len(labels)} variable labels for {arr.shape[0]} variables")
         if len(set(labels)) != len(labels):
             raise DimensionMismatch("variable labels must be unique")
 

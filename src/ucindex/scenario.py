@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidScenario
-from .process_model import ProcessSeries
+from .process_model import ProcessSeries, _Fresh
 
 NOISE_ALGORITHM = "numpy-pcg64"
 
@@ -176,8 +176,8 @@ def generate_series(scenario: Scenario) -> tuple[ProcessSeries, ProcessSeries]:
         competency[affected.start : affected.stop, event.period - 1 :] *= factor
     labels = variable_labels(scenario.n)
     return (
-        ProcessSeries(values=base, variable_labels=labels),
-        ProcessSeries(values=competency, variable_labels=labels),
+        ProcessSeries(values=base.view(_Fresh), variable_labels=labels),
+        ProcessSeries(values=competency.view(_Fresh), variable_labels=labels),
     )
 
 

@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` under ``tracemalloc``: its result and the peak of the bytes it allocated."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -337,6 +338,18 @@ class TestReport:
         total = next(line for line in capsys.readouterr().out.splitlines()
                      if line.startswith("total,"))
         assert total.split(",")[-1] == "4948.375"
+
+    def test_partial_sums_past_the_largest_float_give_the_exact_delta(self, tmp_path, capsys):
+        # fsum raises OverflowError on these rows although their exact delta is finite
+        rows = [(0.0, 8.510162095219329e307), (1.7976931348623157e308, 1.780488503565008e307)]
+        path = tmp_path / "scalars.csv"
+        path.write_text(SCALAR_HEADER + "".join(f"{t},{b!r},{c!r}\n" for t, (b, c)
+                                                in enumerate(rows, start=1)), encoding="utf-8")
+        assert cli_main(["report", str(path), "--format", "csv"]) == 0
+        total = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("total,"))
+        exact = sum(Fraction(c) - Fraction(b) for b, c in rows)
+        assert float(total.split(",")[-1]) == float(exact) == -7.68628074983882e307
 
     def test_domain_error_on_malformed_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import traced_peak
 import ucindex.indicator as indicator
 from ucindex import (
     BadWindow,
@@ -484,12 +486,8 @@ class TestWindowIndicator:
     def test_memory_is_one_cap_and_freed_on_return(self):
         # each tile's buffer is allocated within the cap and freed before the next one
         window = np.random.default_rng(5).uniform(1, 10, size=(12, 1000))
-        tracemalloc.start()
-        try:
-            sums = window_indicator(window, 12)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (sums, held), peak = traced_peak(
+            lambda: (window_indicator(window, 12), tracemalloc.get_traced_memory()[0]))
         assert peak <= indicator.CHUNK_BYTES + sums.nbytes + 64 * 2**10
         assert held <= sums.nbytes + 64 * 2**10
 
@@ -508,12 +506,7 @@ class TestWindowIndicator:
     def test_indicator_series_holds_no_gram_matrix(self):
         # at n = 1000 one Gram matrix is 8 MB; the kernel holds one tile of at most 1 MiB
         series = labelled(np.random.default_rng(5).uniform(1, 10, size=(1000, 16)))
-        tracemalloc.start()
-        try:
-            result = indicator_series(series, WindowConfig(k=12))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(indicator_series, series, WindowConfig(k=12))
         assert result.values.shape == (4, 1000)
         assert peak < 3 * 2**20
 
@@ -577,6 +570,26 @@ class TestStandardizeWindow:
 
 
 class TestIndicatorSeries:
+    def test_zero_variables_give_an_empty_row_a_period(self):
+        result = indicator_series(labelled(np.zeros((0, 20))), WindowConfig(k=3))
+        assert result.values.shape == (17, 0) and result.total == 0.0
+        comparison = compare_modes(result, result)
+        assert comparison.delta_per_period.tolist() == [0.0] * 17
+        assert comparison.delta_total == 0.0
+
+    def test_a_callers_values_are_copied_and_readonly(self):
+        src = np.ones((3, 2))
+        series = IndicatorSeries(1, src, None, "m")
+        src[0, 0] = 99.0
+        assert series.values.tolist() == [[1.0, 1.0]] * 3 and series.total == 6.0
+        with pytest.raises(ValueError):
+            series.values[0, 0] = 5.0
+
+    def test_its_own_rows_are_readonly(self):
+        result = indicator_series(labelled(np.ones((2, 8))), WindowConfig(k=3))
+        with pytest.raises(ValueError):
+            result.values[0, 0] = 5.0
+
     def test_zero_series(self):
         result = indicator_series(labelled(np.zeros((2, 10))), WindowConfig(k=3))
         assert not result.values.any()
@@ -746,6 +759,17 @@ class TestScalarPerPeriod:
         result = indicator_series(labelled(rng.normal(size=(4, 18))), WindowConfig(k=5))
         assert abs(fsum(scalar_per_period(result)) - result.total) <= 1e-9 * abs(result.total)
 
+    def test_rows_whose_partial_sums_overflow_are_summed_exactly(self):
+        # fsum raises OverflowError on this row, though its exact sum rounds to the largest float
+        row = [1.7976931348623157e308, 2.0**969, math.nextafter(2.0**969, 0.0)]
+        with pytest.raises(OverflowError):
+            fsum(row)
+        series, zeros = (IndicatorSeries(1, [r], None, m) for r, m in ((row, "c"), ([0.0] * 3, "b")))
+        assert series.total == float(exact_sum(row)) == 1.7976931348623157e308
+        assert scalar_per_period(series).tolist() == [series.total]
+        comparison = compare_modes(zeros, series)
+        assert comparison.delta_per_period.tolist() == [series.total] == [comparison.delta_total]
+
 
 class TestIngestPrecomputed:
     def test_single_value(self):
@@ -758,6 +782,14 @@ class TestIngestPrecomputed:
     def test_rejects_empty(self):
         with pytest.raises(SeriesTooShort):
             ingest_precomputed([], "basic")
+
+    def test_a_callers_array_is_copied_and_readonly(self):
+        src = np.array([1.0, 2.0])
+        series = ingest_precomputed(src, "basic")
+        src[0] = 99.0
+        assert series.values.tolist() == [[1.0], [2.0]] and series.total == 3.0
+        with pytest.raises(ValueError):
+            series.values[0, 0] = 5.0
 
     def test_rejects_nested_values(self):
         with pytest.raises(DimensionMismatch):
@@ -868,12 +900,7 @@ class TestCompareModes:
             modes = [ingest_precomputed(x, label) for x, label in ((basic, "b"), (competency, "c"))]
         except NonFiniteValue:  # a mode's total overflows
             assume(False)
-        try:
-            total = fsum([*competency, *(-b for b in basic)])
-        except OverflowError:  # fsum's own, on partial sums near the largest float: raised as is
-            with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-                compare_modes(*modes)
-            return
+        total = float(sum(map(Fraction, competency)) - sum(map(Fraction, basic)))
         comparison = compare_modes(*modes)
         want = {"basic_scalars": [fsum([b]) for b in basic],
                 "competency_scalars": [fsum([c]) for c in competency],
@@ -897,12 +924,7 @@ class TestCompareModes:
         rng = np.random.default_rng(4)
         basic, competency = (IndicatorSeries(1, rng.uniform(0, 1e3, (20_000, 32)), None, m)
                              for m in ("b", "c"))
-        tracemalloc.start()
-        try:
-            compare_modes(basic, competency)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(compare_modes, basic, competency)
         assert peak < basic.values.nbytes, peak
 
     def test_direct_construction_enforces_shared_axis(self):

@@ -4,12 +4,12 @@ import dataclasses
 import importlib.resources
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import traced_peak
 from ucindex import (
     __version__,
     NonBinaryEntry,
@@ -55,12 +55,8 @@ class TestSeriesCsv:
         n, t_max = 200, 500
         lines = ["t," + ",".join(f"v{i}" for i in range(n)) + "\n"] + [
             f"{t}," + ",".join(["7"] * n) + "\n" for t in range(1, t_max + 1)]
-        tracemalloc.start()
-        try:
-            cells = _parse_table(iter(lines), "t").cells
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(_parse_table, iter(lines), "t")
+        cells = table.cells
         assert cells.shape == (t_max, n) and (cells == 7.0).all()
         assert peak < 1.75 * cells.nbytes
 
@@ -593,21 +589,22 @@ class TestStreamedReader:
 
 
 class TestReaderMemory:
-    """Each reader's peak is its values (and the series' own copy), not its file's text."""
+    """Each reader's peak is its values, held once, not its file's text."""
 
-    def peak(self, read, path) -> int:
-        tracemalloc.start()
-        try:
-            read(path)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_a_series_holds_its_parse_buffer_as_its_values(self, tmp_path):
+        # a copy of the buffer, or of its transpose, would take the peak past twice the values
+        scenario = dataclasses.replace(reference_scenario(), n=24, t_max=20_000)
+        path = tmp_path / "long.csv"
+        write_series_csv(path, generate_series(scenario)[0])
+        series, peak = traced_peak(read_series_csv, path)
+        assert not series.values.flags.writeable
+        assert peak < 1.4 * series.values.nbytes, peak / series.values.nbytes
 
     def test_a_simulated_series_is_read_in_less_than_its_size(self, tmp_path):
         scenario = dataclasses.replace(reference_scenario(), n=200, t_max=500)
         path = tmp_path / "basic.csv"
         write_series_csv(path, generate_series(scenario)[0])
-        assert self.peak(read_series_csv, path) < path.stat().st_size
+        assert traced_peak(read_series_csv, path)[1] < path.stat().st_size
 
     def test_scalars_are_read_in_less_than_their_size(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -615,4 +612,4 @@ class TestReaderMemory:
         path = tmp_path / "plot.csv"
         path.write_text("t,basic,universal_competencies\n" + "".join(
             f"{t},{b!r},{m!r}\n" for t, b, m in zip(range(13, 20_013), basic, competency)))
-        assert self.peak(read_scalar_csv, path) < path.stat().st_size
+        assert traced_peak(read_scalar_csv, path)[1] < path.stat().st_size

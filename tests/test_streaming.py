@@ -6,13 +6,14 @@ would: every cell first, then the column widths, then one ``"\\n".join``.
 
 from __future__ import annotations
 
-import tracemalloc
+import dataclasses
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import traced_peak
 import ucindex.cli
 from ucindex import ParseError, ProcessSeries, compare_modes, emit_report, ingest_precomputed
 from ucindex import io_formats
@@ -29,12 +30,13 @@ from ucindex.io_formats import (
     write_series_csv,
 )
 from ucindex.report import _fmt2, report_chunks, report_metadata, window_metadata
+from ucindex.scenario import generate_series, reference_scenario
 
 SCALAR_HEADER = "t,basic,universal_competencies"
 # rows whose report text crosses a slice boundary once (two row slices) or several times
-# (a slice is 2,730 rows of three floats at 128 bytes each)
-ROWS = {("csv", "once"): 3_000, ("csv", "several"): 10_000,
-        ("table", "once"): 5_000, ("table", "several"): 12_500}
+# (a slice is 682 rows of three floats at 128 bytes each, a quarter of the cap)
+ROWS = {("csv", "once"): 750, ("csv", "several"): 2_500,
+        ("table", "once"): 1_250, ("table", "several"): 3_125}
 
 
 def joined_report(c, fmt: str, metadata) -> str:
@@ -83,7 +85,7 @@ class TestRowChunks:
     def test_each_chunk_is_one_slice_of_numbered_rows(self, rows, width, step, first):
         values = np.arange(rows * width, dtype=float).reshape(rows, width) / 3  # a list a row
         column = -np.arange(rows, dtype=float)  # a float a row
-        with mock.patch.object(io_formats, "CHUNK_BYTES", 128 * (width + 1) * step):
+        with mock.patch.object(io_formats, "CHUNK_BYTES", 4 * 128 * (width + 1) * step):
             chunks = list(row_chunks(first, lambda t, row, x: f"{t}:{row}:{x!r}", values, column))
         lines = [f"{first + r}:{row}:{x!r}"
                  for r, (row, x) in enumerate(zip(values.tolist(), column.tolist()))]
@@ -94,7 +96,7 @@ class TestRowChunks:
         assert list(row_chunks(1, "{}:{}:{}".format, np.empty(0), np.empty(0))) == []
 
     def test_the_cap_is_floats_at_128_bytes(self):
-        rows = CHUNK_BYTES // 128
+        rows = CHUNK_BYTES // 4 // 128  # a slice takes a quarter of the cap
         chunks = list(row_chunks(1, "{}".format, np.zeros(2 * rows + 1)))
         assert [chunk.count("\n") for chunk in chunks] == [rows, rows, 1]
         assert chunks[2] == f"{2 * rows + 1}\n"
@@ -190,21 +192,24 @@ class TestMemoryAndFailures:
         # held whole, the 100k rows' csv report took about 35 MiB of allocations here
         scalars, out = tmp_path / "scalars.csv", tmp_path / "report.csv"
         write_scalars(scalars, 100_000)
-        compare = ucindex.cli.compare_modes
-
-        def compare_then_trace(*args):
-            comparison = compare(*args)
-            tracemalloc.start()
-            return comparison
-
-        monkeypatch.setattr(ucindex.cli, "compare_modes", compare_then_trace)
-        try:
-            assert cli_main(["report", str(scalars), "--format", "csv", "--out", str(out)]) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        write, peaks = ucindex.cli._write_or_print, []
+        monkeypatch.setattr(ucindex.cli, "_write_or_print",
+                            lambda chunks, path: peaks.append(traced_peak(write, chunks, path)[1]))
+        assert cli_main(["report", str(scalars), "--format", "csv", "--out", str(out)]) == 0
         assert out.stat().st_size > 9 * CHUNK_BYTES
-        assert peak < CHUNK_BYTES, peak  # a slice's floats, strings and bytes, and the writer
+        assert peaks[0] < CHUNK_BYTES // 3, peaks  # a slice's floats, strings and bytes, the writer
+
+    def test_compare_holds_each_series_once(self, tmp_path):
+        # both inputs, then each mode's rows in place of its input: about three series at once
+        scenario = dataclasses.replace(reference_scenario(), n=24, t_max=20_000)
+        basic, universal, out = tmp_path / "basic.csv", tmp_path / "universal.csv", tmp_path / "r"
+        for path, series in zip((basic, universal), generate_series(scenario)):
+            write_series_csv(path, series)
+        argv = ["compare", "--basic", str(basic), "--universal", str(universal), "--format", "csv",
+                "--out", str(out)]
+        code, peak = traced_peak(cli_main, argv)
+        assert code == 0
+        assert peak < 4.25 * 24 * 20_000 * 8, peak / (24 * 20_000 * 8)
 
     @staticmethod
     def failing_chunks():
