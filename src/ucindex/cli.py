@@ -54,6 +54,7 @@ from .io_formats import (
     write_scenario_json,
     write_series_csv,
 )
+from .process_model import _Fresh
 from .report import ReportFormat, emit_plot_data, report_chunks, window_metadata
 from .scenario import NOISE_ALGORITHM, generate_series, reference_scenario
 
@@ -139,9 +140,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    first, basic, competency = read_scalar_csv(args.scalars)  # no column outlives its copy
-    basic = ingest_precomputed(basic, BASIC_LABEL, first_period=first)
-    competency = ingest_precomputed(competency, COMPETENCY_LABEL, first_period=first)
+    first, basic, competency = read_scalar_csv(args.scalars)  # rebound: adopted, not copied
+    basic = ingest_precomputed(basic.view(_Fresh), BASIC_LABEL, first_period=first)
+    competency = ingest_precomputed(competency.view(_Fresh), COMPETENCY_LABEL, first_period=first)
     chunks = report_chunks(compare_modes(basic, competency), args.format, stamp=args.stamp)
     _write_or_print(chunks, args.out)
     return 0

@@ -32,7 +32,8 @@ The kernel functions raise NonFiniteValue when their arithmetic overflows.
 
 Totals, per-period scalars and deltas are exact sums, rounded once (``math.fsum``, or a
 ``Fraction`` sum where fsum's partial sums overflow); a delta is one sum over the competency
-values and the negated basic values, so large, nearly equal modes do not cancel.
+values and the negated basic values, so large, nearly equal modes do not cancel. At n = 1 the
+scalars are the values themselves and a delta is one subtraction, as exact and as rounded.
 """
 
 from __future__ import annotations
@@ -109,10 +110,10 @@ class WindowConfig:
 class IndicatorSeries:
     """Per-period per-variable indicators plus their exact grand total.
 
-    ``values[r, i]`` is the indicator of variable i at period
-    ``first_period + r``; periods run consecutively to ``t_max``. ``total``
-    is the exact sum of every stored value. ``config`` is None for series
-    ingested from precomputed scalars. ``values`` is copied or adopted as in ``ProcessSeries``.
+    ``values[r, i]`` is the indicator of variable i at period ``first_period + r``; periods run
+    consecutively to ``t_max``. ``total`` is the exact sum of every stored value. ``config`` is
+    None for series ingested from precomputed scalars. ``values`` is copied or adopted as in
+    ``ProcessSeries``, and its zeros are stored as +0.0, as an exact sum gives them.
     """
 
     first_period: int
@@ -134,6 +135,7 @@ class IndicatorSeries:
             if bad.any():
                 t = self.first_period + int(bad.any(axis=1).argmax())
                 raise error(f"{self.mode_label}, period {t}: indicator values {rule}")
+        arr += 0.0  # in place: the array is a copy or adopted; -0.0 becomes +0.0, as fsum gives it
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         try:
@@ -187,9 +189,10 @@ class ModeComparison:
             raise ConfigMismatch("defined periods differ: {} vs {}".format(*spans))
         rows = (row for s in _slices(competency.values, basic.values) for row in s.tolist())
         deltas = map(_exact_sum, itertools.repeat(iter), rows)  # _exact_sum(iter, row) each
-        for name, arr in (("basic_scalars", scalar_per_period(basic)),
-                          ("competency_scalars", scalar_per_period(competency)),
-                          ("delta_per_period", np.fromiter(deltas, float, len(basic.values)))):
+        deltas = (competency.values[:, 0] - basic.values[:, 0] if basic.n == 1  # one rounding
+                  else np.fromiter(deltas, float, len(basic.values)))
+        scalars = scalar_per_period(basic), scalar_per_period(competency), deltas
+        for name, arr in zip(("basic_scalars", "competency_scalars", "delta_per_period"), scalars):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         total = _exact_sum(_flat, competency.values, basic.values)  # finite: |C - B| <= max(C, B)
@@ -392,8 +395,10 @@ def scalar_per_period(series: IndicatorSeries) -> np.ndarray:
     """Collapse each defined period's n indicator values into one scalar (their exact sum).
 
     Summing these scalars reproduces the series total up to the rounding of
-    each scalar.
+    each scalar. A one-variable series gives a view of its values.
     """
+    if series.n == 1:  # a one-value sum is the value; stored zeros are +0.0, as fsum gives
+        return series.values[:, 0]
     rows = (row for s in _slices(series.values) for row in s.tolist())
     return np.fromiter(map(_exact_sum, itertools.repeat(iter), rows), float, len(series.values))
 
@@ -408,7 +413,8 @@ def ingest_precomputed(
     The values are treated as a single-variable series starting at
     ``first_period``. This is the entry path for externally published
     per-period results, which can then flow through :func:`compare_modes`
-    and the report emitters unchanged.
+    and the report emitters unchanged. A ``_Fresh`` array (the scalar
+    columns ``report`` reads) is adopted as it is; any other values are copied.
 
     Raises
     ------
@@ -419,8 +425,9 @@ def ingest_precomputed(
     NonFiniteValue
         If any value is NaN or infinite, or their total overflows.
     """
-    values = np.array(scalars if isinstance(scalars, np.ndarray) else list(scalars), dtype=float)
-    return IndicatorSeries(first_period, values[:, np.newaxis].view(_Fresh), None, mode_label)
+    if not isinstance(scalars, _Fresh):  # a caller's values are copied once
+        scalars = np.array(scalars if isinstance(scalars, np.ndarray) else list(scalars), float)
+    return IndicatorSeries(first_period, scalars[:, np.newaxis].view(_Fresh), None, mode_label)
 
 
 def compare_modes(basic: IndicatorSeries, competency: IndicatorSeries) -> ModeComparison:

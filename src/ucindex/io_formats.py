@@ -273,9 +273,8 @@ def _parse_table(
         row, col = divmod(int(np.argmin(finite)), width - 1)
         file.seek(0)
         lineno, raw = next(itertools.islice(_data_lines(file, {}), row + 1, None))
-        raise NonFiniteValue(
-            f"line {lineno}: value {raw.split(',')[col + 1]!r} is not a finite number"
-        )
+        raise NonFiniteValue(f"line {lineno}: value {raw.split(',')[col + 1]!r} in column "
+                             f"{names[col + 1]!r} is not a finite number")
     return _Table(names[1:], first, cells, meta)
 
 
@@ -338,9 +337,9 @@ def read_costs_csv(path: str | Path) -> tuple[float, ...]:
 def read_scalar_csv(path: str | Path) -> tuple[int, np.ndarray, np.ndarray]:
     """Read per-period scalar pairs (header exactly ``t,basic,universal_competencies``).
 
-    Returns the first period and the two scalar columns. Periods must be
-    consecutive from a first period >= 1, not necessarily 1 (reports may
-    begin after warmup).
+    Returns the first period and the two scalar columns, views of one parse buffer.
+    Periods must be consecutive from a first period >= 1, not necessarily 1
+    (reports may begin after warmup).
     """
     with _reading(path) as file:
         table = _parse_table(file, "t", ("basic", "universal_competencies"), first=None)

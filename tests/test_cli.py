@@ -351,6 +351,26 @@ class TestReport:
         exact = sum(Fraction(c) - Fraction(b) for b, c in rows)
         assert float(total.split(",")[-1]) == float(exact) == -7.68628074983882e307
 
+    @pytest.mark.parametrize("fmt, body", [
+        ("csv", "t,basic,universal_competencies,delta,basic_full,universal_competencies_full,"
+                "delta_full\n4,0.00,0.00,0.00,0.0,0.0,0.0\n5,0.00,0.00,0.00,0.0,0.0,0.0\n"
+                "6,0.00,0.00,0.00,0.0,0.0,0.0\n7,0.00,2.50,2.50,0.0,2.5,2.5\n"
+                "total,0.00,2.50,2.50,0.0,2.5,2.5\n"),
+        ("table", "    t  V_basic  V_universal    dV\n    4     0.00         0.00  0.00\n"
+                  "    5     0.00         0.00  0.00\n    6     0.00         0.00  0.00\n"
+                  "    7     0.00         2.50  2.50\nTotal     0.00         2.50  2.50\n"),
+    ])
+    def test_negative_zero_cells_report_as_positive_zeros(self, tmp_path, capsys, fmt, body):
+        # an exact sum of -0.0 is +0.0, so no cell, full-precision ones included, prints -0.0
+        path = tmp_path / "zeros.csv"
+        path.write_text(SCALAR_HEADER + "4,-0.0,-0.0\n5,-0.0,0.0\n6,0.0,-0.0\n7,-0.0,2.5\n",
+                        encoding="utf-8")
+        assert cli_main(["report", str(path), "--format", fmt]) == 0
+        metadata = [f"tool=ucindex {ucindex.__version__}", "mode_basic=basic",
+                    "mode_competency=universal-competencies", "window_k=none", "standardize=n/a",
+                    "warmup=n/a", "warmup_excluded=1..3", "derivation=none", "unit=input-unit^2"]
+        assert capsys.readouterr().out == body + "".join(f"# {m}\n" for m in metadata)
+
     def test_domain_error_on_malformed_input(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,basic,universal_competencies\n1,1.0\n", encoding="utf-8")

@@ -37,7 +37,7 @@ from ucindex.indicator import (
     standardize_window,
     window_indicator,
 )
-from ucindex.process_model import slice_window
+from ucindex.process_model import _Fresh, slice_window
 
 
 def labelled(values: np.ndarray) -> ProcessSeries:
@@ -585,6 +585,15 @@ class TestIndicatorSeries:
         with pytest.raises(ValueError):
             series.values[0, 0] = 5.0
 
+    @pytest.mark.parametrize("adopted", [False, True])
+    def test_zeros_are_stored_as_positive_zeros(self, adopted):
+        # as fsum, which the per-period scalars of wider series still use, gives them
+        values = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        series = IndicatorSeries(1, values.view(_Fresh) if adopted else values, None, "m")
+        assert series.values.tolist() == [[0.0, 1.0], [0.0, 0.0]]
+        assert not np.signbit(series.values).any()
+        assert np.shares_memory(series.values, values) == adopted
+
     def test_its_own_rows_are_readonly(self):
         result = indicator_series(labelled(np.ones((2, 8))), WindowConfig(k=3))
         with pytest.raises(ValueError):
@@ -926,6 +935,14 @@ class TestCompareModes:
                              for m in ("b", "c"))
         _, peak = traced_peak(compare_modes, basic, competency)
         assert peak < basic.values.nbytes, peak
+
+    def test_one_variable_modes_allocate_only_their_delta(self):
+        # per-row sums would allocate two scalar arrays and the delta: about 3 x one column
+        rng = np.random.default_rng(6)
+        basic, competency = (ingest_precomputed(rng.uniform(0, 1e3, 100_000), m) for m in "bc")
+        comparison, peak = traced_peak(compare_modes, basic, competency)
+        assert peak < 1.25 * basic.values.nbytes, peak / basic.values.nbytes
+        assert np.shares_memory(comparison.basic_scalars, basic.values)
 
     def test_direct_construction_enforces_shared_axis(self):
         a = ingest_precomputed([1.0, 2.0], "basic")

@@ -19,6 +19,7 @@ from ucindex import (
     ProcessSeries,
     RaggedRow,
     UcindexError,
+    ingest_precomputed,
     load_mode_fixture,
     read_series_csv,
 )
@@ -34,6 +35,7 @@ from ucindex.io_formats import (
     write_scenario_json,
     write_series_csv,
 )
+from ucindex.process_model import _Fresh
 from ucindex.scenario import Scenario, ScenarioEvent, generate_series, reference_scenario
 
 
@@ -435,7 +437,8 @@ def whole_text_table(data: bytes, columns: tuple[str, ...] | None, first: int | 
         row, col = divmod(int(np.argmin(finite)), len(names) - 1)
         lineno, raw = rows[row]
         token = raw.split(",")[col + 1]
-        raise NonFiniteValue(f"line {lineno}: value {token!r} is not a finite number")
+        raise NonFiniteValue(
+            f"line {lineno}: value {token!r} in column {names[col + 1]!r} is not a finite number")
     return names[1:], first, np.array(cells)
 
 
@@ -531,7 +534,7 @@ class TestStreamedReader:
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     @pytest.mark.parametrize("data, message", [
         (b"t,a\n1,1\n\n2,nan\n",
-         "NonFiniteValue: {path}: line 4: value 'nan' is not a finite number"),
+         "NonFiniteValue: {path}: line 4: value 'nan' in column 'a' is not a finite number"),
         (b"t,a\n" + b"1,1\n" * 3000 + b"\xff", "ParseError: {path}: not UTF-8 text (byte 12004: "
                                                "invalid start byte)"),
         (b"t,a\n1,1\n2,2.5\n", None),
@@ -613,3 +616,21 @@ class TestReaderMemory:
         path.write_text("t,basic,universal_competencies\n" + "".join(
             f"{t},{b!r},{m!r}\n" for t, b, m in zip(range(13, 20_013), basic, competency)))
         assert traced_peak(read_scalar_csv, path)[1] < path.stat().st_size
+
+    def test_report_ingests_the_scalar_columns_uncopied(self, tmp_path):
+        # as cmd_report does: its two columns, marked fresh, become both modes' values
+        rng = np.random.default_rng(1)
+        rows = (10.0 ** rng.uniform(-2.0, 17.0, (100_000, 2))).tolist()
+        path = tmp_path / "plot.csv"
+        path.write_text("t,basic,universal_competencies\n" + "".join(
+            f"{t},{b!r},{m!r}\n" for t, (b, m) in enumerate(rows, start=1)))
+        first, basic, competency = read_scalar_csv(path)
+        buffer = basic.nbytes + competency.nbytes
+        modes, peak = traced_peak(lambda: [ingest_precomputed(basic.view(_Fresh), "b", first),
+                                           ingest_precomputed(competency.view(_Fresh), "c", first)])
+        assert peak < 0.25 * buffer, peak / buffer
+        assert all(np.shares_memory(m.values, c) for m, c in zip(modes, (basic, competency)))
+        assert np.array_equal(np.hstack([m.values for m in modes]), rows)
+        # the reader hands its caller plain arrays, which a series copies
+        assert type(basic) is np.ndarray
+        assert not np.shares_memory(ingest_precomputed(basic, "b").values, basic)
