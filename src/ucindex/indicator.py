@@ -7,22 +7,21 @@ and j over the window. The per-variable indicator at t is the sum of
 absolute values along row i of R, and the integral indicator of a whole run
 is the sum of those values over every defined period and variable.
 
-Determinism contract: the Gram kernel forms each entry with one ``np.einsum``
-of C-ordered operands (no BLAS, no ``optimize`` path), which adds its k
-products in ascending lag order, so R is bit-identical to the defining loop
-in :func:`gram_matrix_bruteforce`, and symmetric with no mirroring step (IEEE
-multiplication commutes, and the products for (i, j) and (j, i) are added in
-the same order). That order belongs to numpy's ``einsum``; the strict tests
-pin it with ``np.array_equal``, for single windows, stacks and tiles, so a
-numpy that changes it fails the tests instead of shifting results. The
-indicator path (:func:`window_indicator`) forms R's upper triangle alone, in
-tiles of rows, on the calling thread, and never holds the n x n matrix. Each
-row's sum of absolute values is added in a fixed tile order, which the cap
-fixes, so a period's values depend on none of how the periods are chunked. A
-matrix of one tile (n <= 362, and every stack that indicator_series forms)
-gets the bits of its plain reference, ``row_indicator(gram_matrix(window,
-k))``, which holds R whole; the strict tests hold wider ones bit for bit to a
-tile-order reference.
+Determinism contract: the Gram kernel forms each entry with one ``np.einsum`` (no BLAS, no
+``optimize`` path) of a lag-contiguous left operand and a C-ordered right one, which adds its k
+products in ascending lag order into a C-ordered block. (A lag-contiguous right operand breaks
+that: beside a lag-contiguous left one it takes einsum's dot path, beside a C-ordered one it gives
+an F-ordered block, whose rows are summed in another order.) So R is bit-identical to the defining
+loop in :func:`gram_matrix_bruteforce`, and symmetric with no mirroring step (IEEE multiplication
+commutes, and the products for (i, j) and (j, i) are added in the same order). That order belongs
+to numpy's ``einsum``; the strict tests pin it with ``np.array_equal``, for single windows, stacks
+and tiles, so a numpy that changes it fails the tests instead of shifting results. The indicator
+path (:func:`window_indicator`) forms R's upper triangle alone, in tiles of rows, on the calling
+thread, and never holds the n x n matrix. Each row's sum of absolute values is added in a fixed
+tile order, which the cap fixes, so a period's values depend on none of how the periods are
+chunked. A matrix of one tile (n <= 362, and every stack that indicator_series forms) gets the
+bits of its plain reference, ``row_indicator(gram_matrix(window, k))``, which holds R whole; the
+strict tests hold wider ones bit for bit to a tile-order reference.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -62,10 +61,11 @@ MIN_SHRINK_LAGS = 2  # the cross-moment normalizer k-1 needs at least 2 lags
 
 # Byte cap on the work held at once. Output rows (io_formats.row_chunks) take a quarter a slice,
 # all they allocate at 128 bytes a float; exact sums a sixteenth, as lists at 32 bytes a value that
-# pymalloc keeps. A chunk of p = max(1, CHUNK_BYTES // (8 n max(n, k))) periods (227 at n = 24,
-# k = 12; 1 from n = 257) keeps its window stack within the cap, and the n its Gram rows to one
-# tile; window_indicator forms a larger Gram matrix in tiles of max(1, CHUNK_BYTES // (8 n)) rows
-# (131 at n = 1000). A 4 MiB cap raised ledger-long's peak RSS 38.6 -> 46.2 MB.
+# pymalloc keeps. A chunk of p = max(1, CHUNK_BYTES // (32 max(2, n) max(n, k))) periods (56 at
+# n = 24, k = 12; 1 from n = 129) holds its window stack, the stack's lag-contiguous copy and its
+# Gram rows (with the zero column at n = 1) in a quarter of the cap each, so a stack is one tile and
+# keeps its bits; window_indicator forms a larger Gram matrix in tiles of max(1, CHUNK_BYTES //
+# (8 n)) rows (131 at n = 1000). A 4 MiB cap raised ledger-long's peak RSS 38.6 -> 46.2 MB.
 CHUNK_BYTES = 2**20
 
 
@@ -245,12 +245,13 @@ def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.nd
 
 def _gram_block(w: np.ndarray, k: int, rows: slice) -> np.ndarray:
     """Rows ``rows`` of W'W / (k-1), per slice, of a checked window or stack; NaN or inf stays
-    unreported, as einsum does not report overflow to np.errstate. C-ordered operands and a
-    zero column appended at n = 1 (dropped from the result) keep the summation order."""
-    n, left = w.shape[-1], np.ascontiguousarray(w[..., rows])
+    unreported, as einsum does not report overflow to np.errstate. A lag-contiguous left operand
+    and a C-ordered right one (a zero column appended at n = 1, dropped from the result) give a
+    C-ordered block off einsum's dot path, each entry's k products added in ascending lag order."""
+    n, left = w.shape[-1], np.ascontiguousarray(np.swapaxes(w[..., rows], -1, -2))
     if n == 1:
         w = np.concatenate((w, np.zeros_like(w)), axis=-1)
-    g = np.einsum("...li,...lj->...ij", left, w, optimize=False)
+    g = np.einsum("...il,...lj->...ij", left, w, optimize=False)
     g /= k - 1
     return g[..., :n]
 
@@ -334,7 +335,8 @@ def standardize_window(window: np.ndarray) -> np.ndarray:
         raise BadWindow(f"standardization needs >= 2 rows, got shape {w.shape}")
     centered = w - w.mean(axis=-2, keepdims=True)
     std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) / (w.shape[-2] - 1))
-    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
+    np.copyto(centered, 0.0, where=~(std > 0))  # in place: constant columns become all-zero
+    return np.divide(centered, std, out=centered, where=std > 0)
 
 
 @_finite
@@ -373,7 +375,7 @@ def indicator_series(
             f"(k={config.k}, warmup={config.warmup.value})"
         )
     rows = np.empty((len(ts), series.n))
-    per_chunk = max(1, CHUNK_BYTES // (8 * max(1, series.n) * max(series.n, config.k)))
+    per_chunk = max(1, CHUNK_BYTES // (32 * max(2, series.n) * max(series.n, config.k)))
     t = ts.start
     while t in ts:
         k = min(config.k, t - 1)

@@ -382,6 +382,40 @@ def test_window_indicator_of_a_stack_is_bit_identical(monkeypatch, name):
     assert np.array_equal(window_indicator(stack, k), tile_order_indicator(stack, k))
 
 
+def lag_loop_gram(window: np.ndarray, k: int) -> np.ndarray:
+    """W'W / (k-1) of a window or stack, each entry's k products added one lag at a time, in
+    ascending lag order, as ``gram_matrix_bruteforce`` adds them."""
+    w = np.asarray(window, dtype=float)
+    g = np.zeros(w.shape[:-2] + (w.shape[-1], w.shape[-1]))
+    for l in range(k):
+        g += w[..., l, :, np.newaxis] * w[..., l, np.newaxis, :]
+    return g / (k - 1)
+
+
+@pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+@pytest.mark.parametrize("n", [1, 2, 8, 24, 100, 400])
+@pytest.mark.parametrize("k", [2, 3, 4, 12, 24])
+def test_the_operand_layout_adds_each_entry_in_ascending_lag_order(monkeypatch, k, n, standardize):
+    # products near 1e14 of either sign: any other order of a sum, or of a row sum, moves its last
+    # bits. A stack of three is one tile up to n = 209; under the shrunk cap a tile is three rows.
+    rng = np.random.default_rng(1000 * k + n)
+    signs = np.where(rng.random((3, k, n)) < 0.5, -1.0, 1.0)
+    stack = signs * (1e7 + rng.uniform(0, 1e3, size=(3, k, n)))
+    if standardize:
+        stack = standardize_window(stack)
+    want = lag_loop_gram(stack, k)
+    assert np.array_equal(gram_matrix(stack, k), want)
+    assert np.array_equal(window_indicator(stack, k), tile_order_indicator(stack, k, lag_loop_gram))
+    for i, window in enumerate(stack):
+        assert np.array_equal(gram_matrix(window, k), want[i])
+        if n <= 24:  # the oracle loops in Python
+            assert np.array_equal(gram_matrix_bruteforce(window, k), want[i])
+        expected = tile_order_indicator(window, k, lag_loop_gram)
+        assert np.array_equal(window_indicator(window, k), expected)
+    cap_rows(monkeypatch, 3, stack[..., :1, :].nbytes)
+    assert np.array_equal(window_indicator(stack, k), tile_order_indicator(stack, k, lag_loop_gram))
+
+
 def late_overflow(kind: str) -> np.ndarray:
     """A 2 x 40 window (k = 2) of ones whose Gram rows 38 and 39 overflow as ``kind`` says."""
     window = np.ones((2, 40))
@@ -509,6 +543,16 @@ class TestWindowIndicator:
         result, peak = traced_peak(indicator_series, series, WindowConfig(k=12))
         assert result.values.shape == (4, 1000)
         assert peak < 3 * 2**20
+
+    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+    @pytest.mark.parametrize("n, t_max", [(1, 4000), (2, 4000), (24, 300), (32, 200), (200, 20)])
+    def test_indicator_series_works_within_one_cap(self, n, t_max, standardize):
+        # a chunk's window stack, its lag-contiguous copy and its Gram rows take a quarter of the
+        # cap each; every series here spans at least two chunks
+        values = np.random.default_rng(n).uniform(1, 10, size=(n, t_max))
+        config = WindowConfig(k=12, standardize=standardize)
+        result, peak = traced_peak(indicator_series, labelled(values), config)
+        assert peak - result.values.nbytes <= indicator.CHUNK_BYTES
 
 
 class TestRowIndicator:
@@ -706,8 +750,8 @@ class TestIndicatorSeries:
         # per_chunk None keeps the module's chunk size; a number shrinks the cap to that
         # many periods, so a short series spans several chunks
         if per_chunk is not None:
-            monkeypatch.setattr(indicator, "CHUNK_BYTES", per_chunk * 8 * n * max(n, k))
-        chunk = max(1, indicator.CHUNK_BYTES // (8 * n * max(n, k)))
+            monkeypatch.setattr(indicator, "CHUNK_BYTES", per_chunk * 32 * max(2, n) * max(n, k))
+        chunk = max(1, indicator.CHUNK_BYTES // (32 * max(2, n) * max(n, k)))
         boundary = k + 1 + chunk  # the first period of the second full-window chunk
         t_max = boundary + 2 * chunk + 1
         values = np.random.default_rng(n).uniform(-10, 10, size=(n, t_max))
@@ -737,11 +781,11 @@ class TestIndicatorSeries:
     @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
     @pytest.mark.parametrize(
         "spikes, first_bad",
-        [((99,), 100), ((229,), 230), ((49, 149), 50)],
+        [((99,), 100), ((114,), 115), ((49, 54), 50)],
         ids=["mid-chunk", "chunk-last-period", "two-in-one-chunk"],
     )
     def test_overflow_in_a_chunk_names_its_first_bad_period(self, spikes, first_bad, standardize):
-        # n = 24, k = 3: full-window chunks start at periods 4, 231 and 458
+        # n = 24, k = 3: full-window chunks of 56 periods start at periods 4, 60 and 116
         values = np.random.default_rng(6).uniform(1, 10, size=(24, 500))
         for spike in spikes:
             values[5, spike - 1] = 1e200  # enters the windows of periods spike+1 .. spike+3

@@ -2,9 +2,10 @@
 
 Byte and token mutations (``test_mutations.py``) exercise the readers; these
 strategies keep every file well formed and draw its cells from near the
-largest float, subnormals, both zeros, equal pairs and pairs that cancel. A
-run passes one of two ways: it exits 0 and a ``Fraction`` oracle agrees
-exactly with every full-precision delta, scalar and total (and
+largest float, subnormals, both zeros, equal pairs and pairs that cancel, and
+build scalar rows whose delta total takes fsum's partials past the largest
+float. A run passes one of two ways: it exits 0 and a ``Fraction`` oracle
+agrees exactly with every full-precision delta, scalar and total (and
 ``gram_matrix_bruteforce`` with every indicator, within 1e-12), or it exits 1
 with one ``error:`` line, for the error the oracle predicts, and writes no file.
 """
@@ -77,12 +78,36 @@ def assert_outcome(code: int, errors: list[str], error: str | None, folder: Path
 
 
 @st.composite
+def past_the_largest_float(draw) -> list[tuple[float, float]]:
+    """MODERATE pairs, two cells of one column in [2^1022, 2^1023) whose sum is a tie that rounds
+    away from zero, and after them, in the delta total's order (c1, -b1, c2, -b2, ...), the
+    largest float in the other column. fsum then holds a partial of half an ulp of the largest
+    float, of that float's sign in the delta, and adding the float to it passes the largest
+    float, while every sum the oracle takes stays finite (or is out of range on its own)."""
+    rows = [list(row) for row in draw(st.lists(st.tuples(MODERATE, MODERATE), min_size=3,
+                                               max_size=8))]
+    side = draw(st.integers(0, 1))  # the two cells' column: 0 basic, 1 competency
+    i, j = sorted(draw(st.lists(st.integers(0, len(rows) - 2 + side), min_size=2, max_size=2,
+                                unique=True)))
+    quarters = st.integers(2**50, 2**51 - 1)  # a quarter of a mantissa of [2^1022, 2^1023)
+    rows[i][side] = math.ldexp(4 * draw(quarters), 970)
+    rows[j][side] = math.ldexp(4 * draw(quarters) + 3, 970)  # mantissas 3 mod 4: a tie, away
+    # the largest float follows row j's cell in the delta's order: in row j itself only as its
+    # basic value, which comes after its competency value (so basic cells leave a later row free)
+    rows[draw(st.integers(j + 1 - side, len(rows) - 1))][1 - side] = BIG
+    return [tuple(row) for row in rows]
+
+
+@st.composite
 def scalar_rows(draw) -> list[tuple[float, float]]:
-    """Scalar pairs of one magnitude regime: equal pairs (their delta cancels) and any pairs;
-    now and then one cell is negated, which the ingest must reject."""
-    cell = draw(st.sampled_from([MAGNITUDES, MODERATE, HUGE]))
-    pair = st.one_of(st.tuples(cell, cell), cell.map(lambda x: (x, x)))
-    rows = draw(st.lists(pair, min_size=1, max_size=8))
+    """Scalar pairs of one magnitude regime: equal pairs (their delta cancels) and any pairs, or
+    rows past the largest float; now and then one cell is negated, which the ingest must reject."""
+    cell = draw(st.sampled_from([MAGNITUDES, MODERATE, HUGE, None]))
+    if cell is None:
+        rows = draw(past_the_largest_float())
+    else:
+        pair = st.one_of(st.tuples(cell, cell), cell.map(lambda x: (x, x)))
+        rows = draw(st.lists(pair, min_size=1, max_size=8))
     if draw(st.integers(0, 7)) == 0:
         r, side = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 1))
         row = list(rows[r])
