@@ -7,21 +7,30 @@ and j over the window. The per-variable indicator at t is the sum of
 absolute values along row i of R, and the integral indicator of a whole run
 is the sum of those values over every defined period and variable.
 
-Determinism contract: the Gram kernel forms each entry with one ``np.einsum`` (no BLAS, no
-``optimize`` path) of a lag-contiguous left operand and a C-ordered right one, which adds its k
-products in ascending lag order into a C-ordered block. (A lag-contiguous right operand breaks
-that: beside a lag-contiguous left one it takes einsum's dot path, beside a C-ordered one it gives
-an F-ordered block, whose rows are summed in another order.) So R is bit-identical to the defining
-loop in :func:`gram_matrix_bruteforce`, and symmetric with no mirroring step (IEEE multiplication
-commutes, and the products for (i, j) and (j, i) are added in the same order). That order belongs
-to numpy's ``einsum``; the strict tests pin it with ``np.array_equal``, for single windows, stacks
-and tiles, so a numpy that changes it fails the tests instead of shifting results. The indicator
-path (:func:`window_indicator`) forms R's upper triangle alone, in tiles of rows, on the calling
-thread, and never holds the n x n matrix. Each row's sum of absolute values is added in a fixed
-tile order, which the cap fixes, so a period's values depend on none of how the periods are
-chunked. A matrix of one tile (n <= 362, and every stack that indicator_series forms) gets the
-bits of its plain reference, ``row_indicator(gram_matrix(window, k))``, which holds R whole; the
-strict tests hold wider ones bit for bit to a tile-order reference.
+Determinism contract: a window's indicator takes one of two forms, chosen from its own values
+(slice by slice in a stack), so a period's values depend on none of how the periods are chunked.
+Each adds in an order of numpy's ``np.einsum`` (no BLAS, no ``optimize`` path) that the strict
+tests pin with ``np.array_equal``, so a numpy that changes it fails the tests, not the results.
+
+One-sign form, where n >= 8, each column is >= 0 or <= 0 throughout, each nonzero |w| lies in
+[2^-480, 2^480] and k <= 1024: row i of |R| sums to sum_l |w_li| S_l / (k-1), S_l = sum_j |w_lj|,
+in O(k n), the lags added in ascending order. (Below n = 8 its guard costs more than the tiles
+save; at n = 1 the tiles add these products in this order.) No product or sum there meets a
+subnormal or an overflow, and this form and :func:`gram_matrix_bruteforce` each lie within
+(k + ceil(log2 n) + 3) 2^-53 of the exact row sum.
+
+Tile form, every other window: the Gram kernel forms each entry with one einsum of a lag-contiguous
+left operand and a C-ordered right one, which adds its k products in ascending lag order into a
+C-ordered block. (A lag-contiguous right operand breaks that: beside a lag-contiguous left one it
+takes einsum's dot path, beside a C-ordered one it gives an F-ordered block, whose rows are summed
+in another order.) So R is bit-identical to the defining loop in :func:`gram_matrix_bruteforce`,
+and symmetric with no mirroring step (IEEE multiplication commutes, and the products for (i, j)
+and (j, i) are added in the same order). :func:`window_indicator` forms R's upper triangle alone,
+in tiles of rows, on the calling thread, and never holds the n x n matrix. Each row's sum of
+absolute values is added in a fixed tile order, which the cap fixes. A matrix of one tile
+(n <= 362, and every stack that indicator_series forms) gets the bits of its plain reference,
+``row_indicator(gram_matrix(window, k))``, which holds R whole; the strict tests hold wider ones
+bit for bit to a tile-order reference.
 
 Note the entries are raw cross-moments, not Pearson correlations: columns
 are not centered or scaled unless ``standardize`` is switched on, which is
@@ -277,8 +286,9 @@ _GRAM_MATRIX = gram_matrix
 
 @_finite
 def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
-    """``row_indicator(gram_matrix(window, k))`` from R's upper triangle alone, on the calling
-    thread, with no n x n matrix: its bits for one tile, its sums in tile order past one.
+    """``row_indicator(gram_matrix(window, k))`` on the calling thread, with no n x n matrix, in
+    the determinism contract's one-sign form where a window (or slice) admits it, else in the tile
+    form over the whole stack: its bits for one tile, its sums in tile order past one.
 
     Tile r is rows r to r + step of R against columns r to n, for the step rows a cap holds. The
     absolute values of its entries are added to its rows, and those right of its diagonal block
@@ -291,14 +301,29 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
         return row_indicator(gram_matrix(window, k))
     w = _checked_window(window, k, (2, 3))
     n, stack = w.shape[-1], w.shape[:-2]
-    step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # the Gram rows a cap holds
+    one_sign = np.full(stack, n >= 8 and k <= 1024)  # per slice (0-d for one window)
+    for v in (w[..., :1], w):  # column 0 first: alone it rules out most mixed windows cheaply
+        if one_sign.any():  # an einsum of booleans is their any, and far faster than .any(axis)
+            mixed = np.einsum("...li->...i", v < 0) & np.einsum("...li->...i", v > 0)
+            one_sign &= ~np.einsum("...i->...", mixed)
+    if one_sign.any():  # nor may a nonzero |w| lie outside [2^-480, 2^480]
+        a = np.abs(w)
+        one_sign &= ~np.einsum("...li->...", (a > 2.0**480) | (a < 2.0**-480) & (a != 0))
+        del a  # freed before any tile takes its buffer
     sums = np.zeros(stack + (n,))
-    for r in range(0, n, step):  # C-ordered columns r..
-        tile = _gram_block(np.ascontiguousarray(w[..., r:]), k, slice(0, step))
-        np.abs(tile, out=tile)
-        sums[..., r : r + step] += tile.sum(axis=-1)
-        sums[..., r + step :] += tile[..., step:].sum(axis=-2)
-        del tile  # freed before the next tile's buffer is taken: one cap is held at a time
+    if not one_sign.all():  # on every slice, so the tiles are those of the whole stack
+        step = max(1, CHUNK_BYTES // max(1, w[..., :1, :].nbytes))  # the Gram rows a cap holds
+        for r in range(0, n, step):  # C-ordered columns r..
+            tile = _gram_block(np.ascontiguousarray(w[..., r:]), k, slice(0, step))
+            np.abs(tile, out=tile)
+            sums[..., r : r + step] += tile.sum(axis=-1)
+            sums[..., r + step :] += tile[..., step:].sum(axis=-2)
+            del tile  # freed before the next tile's buffer is taken: one cap is held at a time
+    if one_sign.any():  # row i of |R| sums to sum_l |w_li| S_l / (k-1), S_l = sum_j |w_lj|
+        a = w[one_sign]  # a copy, so its absolute values are taken in place
+        np.abs(a, out=a)
+        rows = np.einsum("...li,...l->...i", a, a.sum(axis=-1), optimize=False)
+        sums[one_sign] = rows / (k - 1)
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums

@@ -18,6 +18,19 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def one_sign_indicator(window: np.ndarray, k: int) -> np.ndarray:
+    """``window_indicator``'s one-sign form, its einsum written out: row i of |W'W| / (k-1) of a
+    window or stack is sum_l |w_li| S_l / (k-1), S_l = sum_j |w_lj|, the lags added in ascending
+    order. It gives ``window_indicator``'s bits where the form's guard admits the window, and at
+    n <= 1, where the tiles add the same products in the same order."""
+    a = np.abs(np.ascontiguousarray(window, dtype=float))
+    s = a.sum(axis=-1)
+    rows = np.zeros(a.shape[:-2] + a.shape[-1:])
+    for l in range(k):
+        rows += a[..., l, :] * s[..., l, np.newaxis]
+    return rows / (k - 1)
+
+
 @pytest.fixture
 def nearly_equal_series() -> tuple[np.ndarray, np.ndarray]:
     """Two large, nearly equal 32-variable series over 57 periods, as periods x variables.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import one_sign_indicator, traced_peak
 import ucindex.indicator as indicator
 from ucindex import (
     BadWindow,
@@ -416,6 +416,125 @@ def test_the_operand_layout_adds_each_entry_in_ascending_lag_order(monkeypatch, 
     assert np.array_equal(window_indicator(stack, k), tile_order_indicator(stack, k, lag_loop_gram))
 
 
+def one_sign_stacks() -> dict[str, tuple[np.ndarray, int]]:
+    """Stacks whose every column keeps one sign through each window, by size and content."""
+    rng = np.random.default_rng(29)
+    zeros = rng.uniform(1, 10, size=(4, 12, 40))
+    zeros[:, ::3, ::2] = 0.0
+    zeros[:, 1::3, 1::4] = -0.0
+    zeros[:, :, 5] = -0.0  # a column of negative zeros
+    signs = np.where(rng.random(40) < 0.5, -1.0, 1.0)  # drawn once a column
+    values = rng.uniform(1, 10, size=(40, 40))
+    values[[7, 21], [14, 30]] *= 1e6  # in the windows of periods 16..27 and 31..42
+    values *= signs[:, np.newaxis]
+    stacks = {
+        "n0": (np.zeros((3, 12, 0)), 12),
+        "n8": (rng.uniform(1, 10, size=(6, 12, 8)), 12),
+        "n1000": (1e7 + rng.uniform(0, 1e3, size=(2, 12, 1000)), 12),
+        "zeros": (zeros, 12),
+        "all-negative": (-(1e7 + rng.uniform(0, 1e3, size=(5, 12, 40))), 12),
+        "opposite-signs": (signs * (1e7 + rng.uniform(0, 1e3, size=(5, 12, 40))), 12),
+        "spikes": (slice_window(labelled(values), 13, 12, 28), 12),
+    }
+    for k in (2, 3, 12, 60):  # magnitudes spread over lags, so another order of a sum shows
+        stacks[f"n1-k{k}"] = (rng.uniform(0.5, 2, size=(8, k, 1)) ** 20, k)
+    return stacks
+
+
+ONE_SIGN_STACKS = one_sign_stacks()
+
+
+@pytest.mark.parametrize("name", ONE_SIGN_STACKS)
+def test_one_sign_windows_take_the_written_out_form(name):
+    stack, k = ONE_SIGN_STACKS[name]
+    expected = one_sign_indicator(stack, k)
+    assert np.array_equal(window_indicator(stack, k), expected)
+    for i, window in enumerate(stack):
+        assert np.array_equal(window_indicator(window, k), expected[i])
+        assert np.array_equal(window_indicator(-window, k), expected[i])
+        if stack.shape[-1] == 1:  # the tiles run: the same products in the same order
+            assert np.array_equal(expected[i], row_indicator(gram_matrix(window, k)))
+
+
+@pytest.mark.parametrize("name", ONE_SIGN_STACKS)
+def test_one_sign_form_agrees_with_the_oracle(name):
+    stack, k = ONE_SIGN_STACKS[name]
+    for window in stack[:3]:
+        # the oracle loops in Python; at n = 1000 its numpy twin, pinned to its bits above
+        oracle = gram_matrix_bruteforce if window.shape[-1] <= 40 else lag_loop_gram
+        want = np.abs(oracle(window, k)).sum(axis=-1)
+        np.testing.assert_allclose(window_indicator(window, k), want, rtol=1e-12, atol=0)
+
+
+def mixed_signs(values: np.ndarray) -> np.ndarray:
+    """A variables x periods copy of ``values`` with every third variable negated in alternate
+    runs of five periods, so that a window of six or more lags mixes signs in those columns."""
+    mixed = values.copy()
+    mixed[::3, (np.arange(values.shape[1]) // 5) % 2 == 1] *= -1
+    return mixed
+
+
+@pytest.mark.parametrize("tiles", [1, 14], ids=["one-tile", "tiles"])
+def test_a_stack_that_mixes_the_forms_gives_each_slice_its_own_value(monkeypatch, tiles):
+    one_sign, mixed = ONE_SIGN_STACKS["opposite-signs"][0], STRICT_STACKS["c-order"][0]
+    first, last = one_sign[3].copy(), one_sign[4].copy()
+    first[4, 0] *= -1  # one lag of one column changes sign: the first column, then the last
+    last[7, -1] *= -1
+    stack = np.stack([mixed[0], one_sign[0], first, one_sign[1], last, one_sign[2]])
+    if tiles > 1:  # three rows of every slice a tile: the mixed slices keep the stack's tiles
+        cap_rows(monkeypatch, 3, 8 * len(stack) * stack.shape[-1])
+    got, tiled = window_indicator(stack, 12), tile_order_indicator(stack, 12)
+    for i, window in enumerate(stack):
+        if i in (1, 3, 5):
+            assert np.array_equal(got[i], one_sign_indicator(window, 12))
+            assert np.array_equal(got[i], window_indicator(window, 12))
+        else:
+            assert np.array_equal(got[i], tiled[i])
+    assert not np.array_equal(tiled[[1, 3, 5]], got[[1, 3, 5]])  # the forms differ here
+
+
+@pytest.mark.parametrize("n, t_max", [(1, 120), (8, 400), (24, 300), (200, 60)])
+def test_a_periods_value_depends_on_its_own_window_alone(n, t_max):
+    # every third variable changes sign for three periods at a time: a chunk holds windows of
+    # both forms (one period a chunk from n = 129 on)
+    values = 1e7 + np.random.default_rng(n).uniform(0, 1e3, size=(n, t_max))
+    for start in range(40, t_max, 50):
+        values[::3, start : start + 3] *= -1
+    series = labelled(values)
+    result = indicator_series(series, WindowConfig(k=12)).values
+    forms = set()
+    for t in range(13, t_max + 1):
+        window = slice_window(series, t, 12)
+        assert np.array_equal(result[t - 13], window_indicator(window, 12))
+        forms.add(bool((window[0] * window).min() >= 0))  # a column of one sign throughout
+    assert forms == {False, True}
+
+
+GUARD_EDGES = {  # a window's scale, then a cell, k and n inside the guard and just past it
+    "small": (2.0**-480, ((2.0**-480, 12, 40), (2.0**-481, 12, 40))),
+    "large": (2.0**479, ((2.0**480, 12, 40), (2.0**481, 12, 40))),
+    "long": (1e7, ((1e7, 1024, 40), (1e7, 1025, 40))),
+    "narrow": (1e7, ((1e7, 12, 8), (1e7, 12, 7))),
+}
+
+
+@pytest.mark.parametrize("edge", GUARD_EDGES)
+def test_past_the_guard_the_tile_form_keeps_its_bits(edge):
+    rng = np.random.default_rng(31)
+    scale, cases = GUARD_EDGES[edge]
+    (inside, k_in), (outside, k_out) = windows = [
+        (np.where(np.arange(k * n).reshape(k, n) == 7, cell,
+                  scale * rng.uniform(1, 2, size=(k, n))), k) for cell, k, n in cases]
+    for window, k in windows:  # the two forms round these windows differently
+        assert not np.array_equal(one_sign_indicator(window, k), tile_order_indicator(window, k))
+    assert np.array_equal(window_indicator(inside, k_in), one_sign_indicator(inside, k_in))
+    assert np.array_equal(window_indicator(outside, k_out), tile_order_indicator(outside, k_out))
+    if inside.shape == outside.shape:  # in one stack each keeps its own form
+        got = window_indicator(np.stack([outside, inside]), k_in)
+        assert np.array_equal(got, [tile_order_indicator(outside, k_in),
+                                    one_sign_indicator(inside, k_in)])
+
+
 def late_overflow(kind: str) -> np.ndarray:
     """A 2 x 40 window (k = 2) of ones whose Gram rows 38 and 39 overflow as ``kind`` says."""
     window = np.ones((2, 40))
@@ -517,42 +636,57 @@ class TestWindowIndicator:
             expected = tile_order_indicator(window, 12)
             assert np.array_equal(window_indicator(window, 12), expected), name
 
-    def test_memory_is_one_cap_and_freed_on_return(self):
-        # each tile's buffer is allocated within the cap and freed before the next one
+    @pytest.mark.parametrize("signs", ["one-sign", "mixed"])
+    def test_memory_is_one_cap_and_freed_on_return(self, signs):
+        # each tile's buffer is allocated within the cap and freed before the next one; the
+        # one-sign form holds a copy of the window's absolute values and no tile
         window = np.random.default_rng(5).uniform(1, 10, size=(12, 1000))
+        if signs == "mixed":
+            window = mixed_signs(window.T).T.copy()
         (sums, held), peak = traced_peak(
             lambda: (window_indicator(window, 12), tracemalloc.get_traced_memory()[0]))
-        assert peak <= indicator.CHUNK_BYTES + sums.nbytes + 64 * 2**10
+        cap = window.nbytes if signs == "one-sign" else indicator.CHUNK_BYTES
+        assert peak <= cap + sums.nbytes + 64 * 2**10
         assert held <= sums.nbytes + 64 * 2**10
 
     def test_a_rebound_gram_matrix_is_used(self, monkeypatch):
         # perfbench/selftest.py swaps a drifting kernel in this way and expects the output to move
+        # (its one-sign windows would take the O(k n) form; the rebound kernel comes first)
         series = labelled(np.random.default_rng(6).uniform(1, 10, size=(5, 30)))
-        expected = indicator_series(series, WindowConfig(k=4)).values
+        expected = [2 * row_indicator(gram_matrix(slice_window(series, t, 4), 4))
+                    for t in range(5, 31)]
         monkeypatch.setattr(indicator, "gram_matrix", lambda window, k: 2 * gram_matrix(window, k))
-        assert np.array_equal(indicator_series(series, WindowConfig(k=4)).values, 2 * expected)
+        assert np.array_equal(indicator_series(series, WindowConfig(k=4)).values, expected)
 
     def test_a_window_of_no_variables(self):
         window = np.zeros((3, 0))
         assert gram_matrix(window, 3).shape == (0, 0)
         assert window_indicator(window, 3).shape == (0,)
 
-    def test_indicator_series_holds_no_gram_matrix(self):
-        # at n = 1000 one Gram matrix is 8 MB; the kernel holds one tile of at most 1 MiB
-        series = labelled(np.random.default_rng(5).uniform(1, 10, size=(1000, 16)))
+    @pytest.mark.parametrize("signs", ["one-sign", "mixed"])
+    def test_indicator_series_holds_no_gram_matrix(self, signs):
+        # at n = 1000 one Gram matrix is 8 MB; the tile form holds one tile of at most 1 MiB, the
+        # one-sign form a copy of a window's absolute values (96 kB)
+        values = np.random.default_rng(5).uniform(1, 10, size=(1000, 16))
+        series = labelled(values if signs == "one-sign" else mixed_signs(values))
         result, peak = traced_peak(indicator_series, series, WindowConfig(k=12))
         assert result.values.shape == (4, 1000)
-        assert peak < 3 * 2**20
+        assert peak < (2**19 if signs == "one-sign" else 3 * 2**20)
 
-    @pytest.mark.parametrize("standardize", [False, True], ids=["raw", "standardized"])
+    @pytest.mark.parametrize("data", ["raw-one-sign", "raw-mixed", "standardized"])
     @pytest.mark.parametrize("n, t_max", [(1, 4000), (2, 4000), (24, 300), (32, 200), (200, 20)])
-    def test_indicator_series_works_within_one_cap(self, n, t_max, standardize):
-        # a chunk's window stack, its lag-contiguous copy and its Gram rows take a quarter of the
-        # cap each; every series here spans at least two chunks
+    def test_indicator_series_works_within_one_cap(self, n, t_max, data):
+        # in the tile form a chunk's window stack, its lag-contiguous copy and its Gram rows take a
+        # quarter of the cap each; the one-sign form (n >= 8) holds the stack, a copy of its
+        # absolute values and their row sums, so three quarters. Every series here spans at least
+        # two chunks.
         values = np.random.default_rng(n).uniform(1, 10, size=(n, t_max))
-        config = WindowConfig(k=12, standardize=standardize)
+        if data == "raw-mixed":
+            values = mixed_signs(values)
+        config = WindowConfig(k=12, standardize=data == "standardized")
         result, peak = traced_peak(indicator_series, labelled(values), config)
-        assert peak - result.values.nbytes <= indicator.CHUNK_BYTES
+        share = 0.75 if data == "raw-one-sign" else 1
+        assert peak - result.values.nbytes <= share * indicator.CHUNK_BYTES
 
 
 class TestRowIndicator:
@@ -926,7 +1060,7 @@ class TestCompareModes:
         basic, competency = (indicator_series(labelled(x.T), config) for x in nearly_equal_series)
         comparison = compare_modes(basic, competency)
         assert_exact_deltas(comparison)
-        assert comparison.delta_total == 10396227.5
+        assert comparison.delta_total == 10396270.0  # one-sign windows: the O(k n) form's values
 
     def test_deltas_are_exact_on_the_ingest_path(self, nearly_equal_scalars):
         basic, competency = (ingest_precomputed(x, "mode") for x in nearly_equal_scalars)

@@ -199,9 +199,15 @@ def test_fixture_verify_agrees_with_the_exact_totals(rows, declare):
 
 @st.composite
 def series_rows(draw, n: int, periods: int) -> np.ndarray:
-    """A periods x n series of one magnitude regime, signed; a row may negate the one before,
-    so that the products of adjacent lags cancel."""
+    """A periods x n series of one magnitude regime. Either each column's sign is drawn once, so
+    that windows take the one-sign form where their magnitudes allow (subnormal and near-max
+    cells do not), or each cell is signed on its own, and a row may negate the one before, so
+    that the products of adjacent lags cancel."""
     cell = draw(st.sampled_from([MAGNITUDES, MODERATE]))
+    if draw(st.booleans()):
+        signs = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), -1.0, 1.0)
+        return signs * np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                              min_size=periods, max_size=periods)))
     signed = st.tuples(cell, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
     rows = []
     for _ in range(periods):
@@ -215,8 +221,10 @@ def series_rows(draw, n: int, periods: int) -> np.ndarray:
 @st.composite
 def series_pairs(draw):
     """Two series of one shape, the second independent, equal to the first, or its negation (the
-    same Gram matrices: every delta cancels); a window length and a warm-up policy."""
-    n, periods, k = draw(st.integers(1, 3)), draw(st.integers(2, 8)), draw(st.integers(2, 4))
+    same Gram matrices: every delta cancels); a window length and a warm-up policy. From 8
+    variables on, windows may take the one-sign form."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(7, 9)))
+    periods, k = draw(st.integers(2, 8)), draw(st.integers(2, 4))
     basic = draw(series_rows(n, periods))
     kind = draw(st.sampled_from(["independent", "equal", "negated"]))
     competency = {"equal": basic, "negated": -basic}.get(kind)
@@ -260,6 +268,9 @@ def indicator_rows(text: str, first: int) -> np.ndarray:
 @example((np.array([[1e200], [1.0], [2.0]]), np.array([[1.0], [2.0], [3.0]]), 2, "skip"))
 @example((np.array([[5e-324, -0.0], [-5e-324, 0.0], [1.0, -1.0], [-1.0, 1.0]]),
           np.array([[-5e-324, 0.0], [5e-324, -0.0], [-1.0, 1.0], [1.0, -1.0]]), 2, "shrink"))
+@example((np.array([[2.0**481] + [1.5] * 7, [3.0] * 8, [2.0] + [2.0**480] * 7, [1.25] * 8]),
+          np.array([[2.0**-481] + [-1.5] * 7, [3.0] + [-2.5] * 7, [2.0**-480] + [-2.0] * 7,
+                    [1.25] + [-3.0] * 7]), 2, "shrink"))  # the one-sign form's magnitude edges
 def test_indicator_and_compare_agree_with_their_oracles(case):
     basic, competency, k, warmup = case
     window = ["--window", str(k), "--warmup", warmup]
