@@ -302,13 +302,13 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
     w = _checked_window(window, k, (2, 3))
     n, stack = w.shape[-1], w.shape[:-2]
     one_sign = np.full(stack, n >= 8 and k <= 1024)  # per slice (0-d for one window)
-    for v in (w[..., :1], w):  # column 0 first: alone it rules out most mixed windows cheaply
-        if one_sign.any():  # an einsum of booleans is their any, and far faster than .any(axis)
-            mixed = np.einsum("...li->...i", v < 0) & np.einsum("...li->...i", v > 0)
-            one_sign &= ~np.einsum("...i->...", mixed)
+    if one_sign.any():  # an einsum of booleans is their any, and far faster than .any(axis)
+        mixed = np.einsum("...li->...i", w < 0) & np.einsum("...li->...i", w > 0)
+        one_sign &= ~np.einsum("...i->...", mixed)
     if one_sign.any():  # nor may a nonzero |w| lie outside [2^-480, 2^480]
-        a = np.abs(w)
+        a = np.abs(w)  # its row sums S_l overflow only where R's diagonal does, so no error moves
         one_sign &= ~np.einsum("...li->...", (a > 2.0**480) | (a < 2.0**-480) & (a != 0))
+        rows = np.einsum("...li,...l->...i", a, a.sum(axis=-1), optimize=False)
         del a  # freed before any tile takes its buffer
     sums = np.zeros(stack + (n,))
     if not one_sign.all():  # on every slice, so the tiles are those of the whole stack
@@ -320,10 +320,7 @@ def window_indicator(window: np.ndarray, k: int) -> np.ndarray:
             sums[..., r + step :] += tile[..., step:].sum(axis=-2)
             del tile  # freed before the next tile's buffer is taken: one cap is held at a time
     if one_sign.any():  # row i of |R| sums to sum_l |w_li| S_l / (k-1), S_l = sum_j |w_lj|
-        a = w[one_sign]  # a copy, so its absolute values are taken in place
-        np.abs(a, out=a)
-        rows = np.einsum("...li,...l->...i", a, a.sum(axis=-1), optimize=False)
-        sums[one_sign] = rows / (k - 1)
+        sums[one_sign] = rows[one_sign] / (k - 1)
     if not np.isfinite(sums).all():
         raise NonFiniteValue("overflow encountered")
     return sums

@@ -31,6 +31,14 @@ def one_sign_indicator(window: np.ndarray, k: int) -> np.ndarray:
     return rows / (k - 1)
 
 
+def mixed_signs(values: np.ndarray) -> np.ndarray:
+    """A variables x periods copy of ``values`` with every third variable negated in alternate
+    runs of five periods, so that a window of six or more lags mixes signs in those columns."""
+    mixed = values.copy()
+    mixed[::3, (np.arange(values.shape[1]) // 5) % 2 == 1] *= -1
+    return mixed
+
+
 @pytest.fixture
 def nearly_equal_series() -> tuple[np.ndarray, np.ndarray]:
     """Two large, nearly equal 32-variable series over 57 periods, as periods x variables.

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import mixed_signs
 import ucindex
 from ucindex import ProcessSeries, indicator
 from ucindex.cli import cli_main
@@ -560,10 +561,21 @@ def test_compare_never_calls_row_indicator(tmp_path, capsys, monkeypatch, n, ext
     def stub(matrix):
         raise AssertionError("row_indicator called")
 
+    widths, gram_block = [], indicator._gram_block
+
+    def spy(w, k, rows):  # one call a tile: its width is n - r for the tile at row r
+        widths.append(w.shape[-1])
+        return gram_block(w, k, rows)
+
     monkeypatch.setattr(indicator, "row_indicator", stub)
+    monkeypatch.setattr(indicator, "_gram_block", spy)
     rng = np.random.default_rng(n)
     for mode in ("basic", "universal"):
-        write_series(tmp_path / f"{mode}.csv", rng.uniform(1, 10, size=(n, 16)))
+        values = rng.uniform(1, 10, size=(n, 16))
+        # at n = 400 mixed signs keep the windows off the one-sign form, so they take the tiles
+        write_series(tmp_path / f"{mode}.csv", mixed_signs(values) if n == 400 else values)
     command = ["compare", "--basic", str(tmp_path / "basic.csv"),
                "--universal", str(tmp_path / "universal.csv"), "--window", "12", *extra]
     assert cli_main(command) == 0, capsys.readouterr().err
+    if n == 400:  # 4 windows a mode, each a first tile of full width and one more
+        assert len(widths) == 2 * widths.count(n) == 16, widths

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import one_sign_indicator, traced_peak
+from conftest import mixed_signs, one_sign_indicator, traced_peak
 import ucindex.indicator as indicator
 from ucindex import (
     BadWindow,
@@ -293,18 +293,7 @@ def cap_rows(monkeypatch, rows: int, row_bytes: int) -> None:
 def test_row_blocks_are_bit_identical_to_the_oracle(monkeypatch, n):
     # three rows a block: several blocks from n = 4 on, the last one ragged unless 3 divides n
     cap_rows(monkeypatch, 3, 8 * n)
-    rng = np.random.default_rng(n)
-    base = rng.uniform(-10, 10, size=(12, n))
-    spiked = base.copy()
-    spiked[4, n - 1] *= 1e6
-    signs = np.where(rng.random((12, n)) < 0.5, -1.0, 1.0)
-    windows = {
-        "c-order": base,
-        "fortran-order": np.asfortranarray(base),
-        "strided": np.repeat(base, 2, axis=-1)[:, ::2],
-        "spike": spiked,
-        "cancellation": signs * 1e8 + rng.uniform(-1, 1, size=(12, n)),
-    }
+    windows = row_block_windows(n)
     for name, window in windows.items():
         gram = gram_matrix(window, 12)
         assert np.array_equal(gram, gram_matrix_bruteforce(window, 12)), name
@@ -466,14 +455,6 @@ def test_one_sign_form_agrees_with_the_oracle(name):
         np.testing.assert_allclose(window_indicator(window, k), want, rtol=1e-12, atol=0)
 
 
-def mixed_signs(values: np.ndarray) -> np.ndarray:
-    """A variables x periods copy of ``values`` with every third variable negated in alternate
-    runs of five periods, so that a window of six or more lags mixes signs in those columns."""
-    mixed = values.copy()
-    mixed[::3, (np.arange(values.shape[1]) // 5) % 2 == 1] *= -1
-    return mixed
-
-
 @pytest.mark.parametrize("tiles", [1, 14], ids=["one-tile", "tiles"])
 def test_a_stack_that_mixes_the_forms_gives_each_slice_its_own_value(monkeypatch, tiles):
     one_sign, mixed = ONE_SIGN_STACKS["opposite-signs"][0], STRICT_STACKS["c-order"][0]
@@ -604,6 +585,26 @@ class TestWindowIndicator:
             for state in ("raise", "ignore"):
                 with np.errstate(all=state), pytest.raises(NonFiniteValue, match="^overflow"):
                     window_indicator(window, 2)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["window", "stack"])
+    def test_a_one_sign_window_whose_absolute_row_sums_overflow(self, stacked):
+        # it passes the sign test and fails the magnitude test, and the row sums S_l of |W| that
+        # the guard takes overflow, as the tile form's diagonal entries would
+        window = np.full((2, 40), 1e307)
+        if stacked:
+            window = np.stack([np.ones((2, 40)), window])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for state in ("raise", "ignore"):
+                with np.errstate(all=state), pytest.raises(NonFiniteValue,
+                                                           match="^overflow encountered$"):
+                    window_indicator(window, 2)
+
+    def test_a_one_sign_row_whose_absolute_sum_overflows_names_the_period(self):
+        values = np.random.default_rng(9).uniform(1, 10, size=(40, 12))
+        values[:, 4] = 1e307  # period 5, first in the window of period 6 (k = 2)
+        with pytest.raises(NonFiniteValue, match="^spiked, period 6: overflow encountered$"):
+            indicator_series(labelled(values), WindowConfig(k=2), "spiked")
 
     def test_overflow_is_non_finite_value_under_a_raising_errstate(self):
         with np.errstate(all="raise"), pytest.raises(NonFiniteValue, match="overflow"):

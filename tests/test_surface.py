@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import mixed_signs
 import ucindex
 from ucindex.io_formats import write_series_csv
 
@@ -89,13 +90,15 @@ def test_traced_compare_runs_cleanly(tmp_path):
 
 
 def test_traced_compare_on_the_multi_tile_path_runs_cleanly(tmp_path):
-    # n = 400 spans two tiles of the kernel, so each window takes the multi-tile path
+    # n = 400 spans two tiles of the kernel, and mixed signs keep each window off the one-sign
+    # form, so it takes the multi-tile path
     rng = np.random.default_rng(4)
     args = ["compare", "--window", "12", "--format", "csv"]
     labels = tuple(f"v{i}" for i in range(400))
     for mode in ("basic", "universal"):
         path = tmp_path / f"{mode}.csv"
-        write_series_csv(path, ucindex.ProcessSeries(rng.uniform(1, 10, (400, 16)), labels))
+        values = mixed_signs(rng.uniform(1, 10, (400, 16)))
+        write_series_csv(path, ucindex.ProcessSeries(values, labels))
         args += [f"--{mode}", str(path)]
     spans = tmp_path / "spans.json"
     src = Path(ucindex.__file__).resolve().parent.parent

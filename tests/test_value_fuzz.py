@@ -31,6 +31,7 @@ EDGES = (0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1.0
          8.98846567431158e307, 1e308, math.nextafter(BIG, 0.0), BIG)
 MAGNITUDES = st.one_of(st.sampled_from(EDGES), st.floats(0.0, BIG), st.floats(0.0, 1e3))
 MODERATE = st.one_of(st.sampled_from(EDGES[:7]), st.floats(0.0, 1e3))
+BOUNDED = st.floats(1.0, 1e3)  # inside the one-sign form's magnitude bounds, and never zero
 HUGE = st.one_of(st.sampled_from((0.0, -0.0, *EDGES[7:])), st.floats(1e307, BIG))
 RELATIVE = 1e-12  # the acceptance gate's bound on the kernel against its oracle
 
@@ -201,10 +202,11 @@ def test_fixture_verify_agrees_with_the_exact_totals(rows, declare):
 def series_rows(draw, n: int, periods: int) -> np.ndarray:
     """A periods x n series of one magnitude regime. Either each column's sign is drawn once, so
     that windows take the one-sign form where their magnitudes allow (subnormal and near-max
-    cells do not), or each cell is signed on its own, and a row may negate the one before, so
-    that the products of adjacent lags cancel."""
-    cell = draw(st.sampled_from([MAGNITUDES, MODERATE]))
-    if draw(st.booleans()):
+    cells do not; ``BOUNDED`` ones, always signed so, do from n = 8 on), or each cell is signed
+    on its own, and a row may negate the one before, so that the products of adjacent lags
+    cancel."""
+    cell = draw(st.sampled_from([MAGNITUDES, MODERATE, BOUNDED]))
+    if cell is BOUNDED or draw(st.booleans()):
         signs = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), -1.0, 1.0)
         return signs * np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n),
                                               min_size=periods, max_size=periods)))
