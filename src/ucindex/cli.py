@@ -55,7 +55,7 @@ from .io_formats import (
     write_series_csv,
 )
 from .process_model import _Fresh
-from .report import ReportFormat, emit_plot_data, report_chunks, window_metadata
+from .report import RENDERERS, emit_plot_data, report_chunks, window_metadata
 from .scenario import NOISE_ALGORITHM, generate_series, reference_scenario
 
 FIXTURE_TOLERANCE = 0.02  # the reference table is printed at 2 decimals
@@ -70,15 +70,6 @@ def _write_or_print(chunks: Iterable[str], out: str | None) -> None:
         atomic_write(out, chunks)
     else:
         sys.stdout.writelines(chunks)
-
-
-def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=12, metavar="K",
-                   help="lag window length in periods (default: 12)")
-    p.add_argument("--standardize", action="store_true",
-                   help="standardize window columns before the cross-moments")
-    p.add_argument("--warmup", choices=[w.value for w in Warmup], default="skip",
-                   help="policy for periods without a full window (default: skip)")
 
 
 def cmd_indicator(args: argparse.Namespace) -> int:
@@ -190,15 +181,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"ucindex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    window = argparse.ArgumentParser(add_help=False)  # parents list their flags first in --help
+    window.add_argument("--window", type=int, default=12, metavar="K",
+                        help="lag window length in periods (default: 12)")
+    window.add_argument("--standardize", action="store_true",
+                        help="standardize window columns before the cross-moments")
+    window.add_argument("--warmup", choices=[w.value for w in Warmup], default="skip",
+                        help="policy for periods without a full window (default: skip)")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=RENDERERS, default="table")
+    report.add_argument("--out", metavar="PATH", help="write report to file instead of stdout")
+    report.add_argument("--stamp", action="store_true", help="add a generation timestamp")
 
-    p = sub.add_parser("indicator", help="compute per-period indicators of one series")
+    p = sub.add_parser("indicator", parents=[window],
+                       help="compute per-period indicators of one series")
     p.add_argument("series", help="series CSV file")
-    _add_window_flags(p)
     p.add_argument("--label", default="series", help="mode label echoed in the output")
     p.add_argument("--out", metavar="PATH", help="write to file instead of stdout")
     p.set_defaults(func=cmd_indicator)
 
-    p = sub.add_parser("compare", help="compare basic vs competency management modes")
+    p = sub.add_parser("compare", parents=[window, report],
+                       help="compare basic vs competency management modes")
     p.add_argument("--basic", required=True, metavar="PATH", help="basic-mode series CSV")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--universal", metavar="PATH", help="competency-mode series CSV")
@@ -206,11 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="compliance matrix CSV to derive the competency mode from")
     p.add_argument("--derive", choices=[r.value for r in DerivationRule], default="mask",
                    help="derivation rule when using --compliance (default: mask)")
-    _add_window_flags(p)
-    p.add_argument("--format", choices=[f.value for f in ReportFormat], default="table")
-    p.add_argument("--out", metavar="PATH", help="write report to file instead of stdout")
     p.add_argument("--plot-data", metavar="PATH", help="also write per-period scalars CSV")
-    p.add_argument("--stamp", action="store_true", help="add a generation timestamp")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="generate scenario data files")
@@ -220,11 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True, metavar="DIR")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", help="re-report precomputed per-period scalars")
+    p = sub.add_parser("report", parents=[report], help="re-report precomputed per-period scalars")
     p.add_argument("scalars", help="CSV with header t,basic,universal_competencies")
-    p.add_argument("--format", choices=[f.value for f in ReportFormat], default="table")
-    p.add_argument("--out", metavar="PATH", help="write report to file instead of stdout")
-    p.add_argument("--stamp", action="store_true", help="add a generation timestamp")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("check-budget", help="gate a compliance mapping against a resource limit")

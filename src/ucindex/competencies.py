@@ -18,7 +18,7 @@ from math import fsum
 import numpy as np
 
 from .errors import DimensionMismatch, NonBinaryEntry, NonFiniteValue
-from .process_model import ProcessSeries, _Fresh
+from .process_model import ProcessSeries, _finite, _Fresh
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,14 @@ def check_budget(matrix: ComplianceMatrix, budget: ResourceBudget) -> BudgetChec
             f"{len(budget.cost_per_competency)} costs for {matrix.m} competencies"
         )
     active = matrix.entries.any(axis=1)
-    cost = fsum(c for c, a in zip(budget.cost_per_competency, active) if a)
+    try:  # costs are >= 0, so fsum overflows only where the exact cost does
+        cost = fsum(c for c, a in zip(budget.cost_per_competency, active) if a)
+    except OverflowError:
+        raise NonFiniteValue("the activation cost overflows") from None
     return BudgetCheck(accepted=cost <= budget.limit_c, cost=cost, limit=budget.limit_c)
 
 
+@_finite
 def derive_mode_series(
     series: ProcessSeries,
     matrix: ComplianceMatrix,

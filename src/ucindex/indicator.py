@@ -62,7 +62,7 @@ from .errors import (
     NonFiniteValue,
     SeriesTooShort,
 )
-from .process_model import ProcessSeries, _Fresh, slice_window
+from .process_model import ProcessSeries, _finite, _Fresh, slice_window
 
 INDICATOR_UNIT = "input-unit^2"
 
@@ -232,14 +232,6 @@ def _exact_sum(values: Callable[..., Iterable[float]], *args) -> float:
         return float(sum(map(Fraction, values(*args))))
 
 
-def _raise_non_finite(error: str, flag: int) -> None:
-    raise NonFiniteValue(f"{error} encountered")
-
-
-# a decorator only: numpy sets the state per call and per thread
-_finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
-
-
 def _checked_window(window: np.ndarray, k: int, ndims: tuple[int, ...]) -> np.ndarray:
     """The window as C-ordered floats, once it passes the checks the kernel and oracle share."""
     w = np.ascontiguousarray(window, dtype=float)
@@ -349,16 +341,17 @@ def gram_matrix_bruteforce(window: np.ndarray, k: int) -> np.ndarray:
 def standardize_window(window: np.ndarray) -> np.ndarray:
     """Standardize each column of a window (or of a stack's windows) to zero mean, unit variance.
 
-    Columns with zero sample variance are mapped to all-zero rather than
-    dividing by zero, so their cross-moments vanish.
+    Constant columns (told by their values: a mean may round off the constant) and columns whose
+    variance underflows to 0 are mapped to all-zero, not divided by 0; their cross-moments vanish.
     """
     w = np.ascontiguousarray(window, dtype=float)  # C order fixes the summation order
     if w.ndim < 2 or w.shape[-2] < 2:
         raise BadWindow(f"standardization needs >= 2 rows, got shape {w.shape}")
     centered = w - w.mean(axis=-2, keepdims=True)
     std = np.sqrt((centered * centered).sum(axis=-2, keepdims=True) / (w.shape[-2] - 1))
-    np.copyto(centered, 0.0, where=~(std > 0))  # in place: constant columns become all-zero
-    return np.divide(centered, std, out=centered, where=std > 0)
+    varying = (std > 0) & (w != w[..., :1, :]).any(axis=-2, keepdims=True)
+    np.copyto(centered, 0.0, where=~varying)  # in place: the other columns become all-zero
+    return np.divide(centered, std, out=centered, where=varying)
 
 
 @_finite

@@ -19,6 +19,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionMismatch, NonFiniteValue, WindowOutOfRange
 
 
+def _raise_non_finite(error: str, flag: int) -> None:
+    raise NonFiniteValue(f"{error} encountered")
+
+
+# a decorator only: numpy sets the state per call and per thread
+_finite = np.errstate(over="call", invalid="call", call=_raise_non_finite)
+
+
 class _Fresh(np.ndarray):
     """Marks an array that ucindex has just made and holds nowhere else: a series adopts it."""
 

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import itertools
 from datetime import datetime, timezone
-from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
 from .indicator import INDICATOR_UNIT, ModeComparison, WindowConfig
 from .io_formats import Writer, atomic_write, metadata_lines, row_chunks
-
-
-class ReportFormat(str, Enum):
-    TABLE = "table"
-    CSV = "csv"
 
 
 def window_metadata(config: WindowConfig | None) -> list[tuple[str, str]]:
@@ -70,12 +64,12 @@ def _fmt2(x: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def report_chunks(comparison: ModeComparison, fmt: ReportFormat | str = ReportFormat.TABLE,
-                  derivation: str | None = None, stamp: bool = False) -> Iterator[str]:
-    """The report's text: the header, each slice of rows, the total, then the metadata, which
-    the call itself builds, so its errors (see :func:`report_metadata`) come before any chunk."""
+def report_chunks(comparison: ModeComparison, fmt: str = "table", derivation: str | None = None,
+                  stamp: bool = False) -> Iterator[str]:
+    """The report's text: the header, each slice of rows, the total, then the metadata. The call
+    looks up ``RENDERERS[fmt]`` and builds the metadata, so their errors come before any chunk."""
+    render = RENDERERS[fmt]
     block = "\n".join(report_metadata(comparison, derivation, stamp)) + "\n"
-    render = _render_csv if ReportFormat(fmt) is ReportFormat.CSV else _render_text
     return itertools.chain(render(comparison), [block])
 
 
@@ -105,12 +99,11 @@ def _render_csv(c: ModeComparison) -> Iterator[str]:
     yield _csv_row("total", c.basic.total, c.competency.total, c.delta_total) + "\n"
 
 
-def emit_report(
-    comparison: ModeComparison,
-    fmt: ReportFormat | str = ReportFormat.TABLE,
-    derivation: str | None = None,
-    stamp: bool = False,
-) -> str:
+RENDERERS = {"table": _render_text, "csv": _render_csv}
+
+
+def emit_report(comparison: ModeComparison, fmt: str = "table", derivation: str | None = None,
+                stamp: bool = False) -> str:
     """The whole comparison report: the join of :func:`report_chunks`."""
     return "".join(report_chunks(comparison, fmt, derivation, stamp))
 

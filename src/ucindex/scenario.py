@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidScenario
-from .process_model import ProcessSeries, _Fresh
+from .process_model import ProcessSeries, _finite, _Fresh
 
 NOISE_ALGORITHM = "numpy-pcg64"
 
@@ -151,6 +151,7 @@ def role_blocks(scenario: Scenario) -> dict[str, range]:
     return blocks
 
 
+@_finite
 def generate_series(scenario: Scenario) -> tuple[ProcessSeries, ProcessSeries]:
     """Generate the (basic mode, competency mode) series pair for a scenario.
 

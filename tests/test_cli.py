@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import pytest
 from conftest import mixed_signs
 import ucindex
 from ucindex import ProcessSeries, indicator
-from ucindex.cli import cli_main
+from ucindex.cli import build_parser, cli_main
 from ucindex.io_formats import write_series_csv
 
 
@@ -579,3 +581,116 @@ def test_compare_never_calls_row_indicator(tmp_path, capsys, monkeypatch, n, ext
     assert cli_main(command) == 0, capsys.readouterr().err
     if n == 400:  # 4 windows a mode, each a first tile of full width and one more
         assert len(widths) == 2 * widths.count(n) == 16, widths
+
+
+# each command's options: option string (a positional's name) -> (default, choices, required)
+COMMAND_FLAGS = {
+    "indicator": {
+        "series": (None, None, True),
+        "--window": (12, None, False),
+        "--standardize": (False, None, False),
+        "--warmup": ("skip", ["skip", "shrink"], False),
+        "--label": ("series", None, False),
+        "--out": (None, None, False),
+    },
+    "compare": {
+        "--basic": (None, None, True),
+        "--universal": (None, None, False),
+        "--compliance": (None, None, False),
+        "--derive": ("mask", ["mask", "weight"], False),
+        "--window": (12, None, False),
+        "--standardize": (False, None, False),
+        "--warmup": ("skip", ["skip", "shrink"], False),
+        "--format": ("table", ["table", "csv"], False),
+        "--out": (None, None, False),
+        "--plot-data": (None, None, False),
+        "--stamp": (False, None, False),
+    },
+    "simulate": {
+        "--scenario": (None, None, False),
+        "--seed": (None, None, False),
+        "--out-dir": (None, None, True),
+    },
+    "report": {
+        "scalars": (None, None, True),
+        "--format": ("table", ["table", "csv"], False),
+        "--out": (None, None, False),
+        "--stamp": (False, None, False),
+    },
+    "check-budget": {
+        "--compliance": (None, None, True),
+        "--budget": (None, None, True),
+        "--costs": (None, None, False),
+        "--unit-cost": (None, None, False),
+    },
+    "fixture-verify": {
+        "--fixture": (None, None, False),
+    },
+}
+
+
+def test_each_command_declares_its_flags_once():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(commands) == list(COMMAND_FLAGS)
+    for name, command in commands.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        declared = [(" ".join(a.option_strings) or a.dest,
+                     (a.default, None if a.choices is None else list(a.choices), a.required))
+                    for a in actions]
+        assert len(declared) == len(dict(declared)), name  # no option declared twice
+        assert dict(declared) == COMMAND_FLAGS[name], name
+
+
+def write_compliance(path, rows: list[str]) -> str:
+    n = len(rows[0].split(","))
+    header = "competency_id," + ",".join(f"p{j}" for j in range(n))
+    path.write_text("\n".join([header, *(f"{i},{r}" for i, r in enumerate(rows, 1))]) + "\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def assert_one_non_finite_line(capsys, code: int) -> str:
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith("error: NonFiniteValue: "), captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("costs", ["file", "unit"])
+def test_an_activation_cost_past_the_largest_float_is_one_error_line(tmp_path, capsys, costs):
+    # fsum of two active costs of 1e308 overflows: the exact cost is past the largest float
+    command = ["check-budget", "--compliance", write_compliance(tmp_path / "c.csv", ["1,0", "0,1"]),
+               "--budget", "1"]
+    if costs == "file":
+        path = tmp_path / "costs.csv"
+        path.write_text("competency_id,cost\n1,1e308\n2,1e308\n", encoding="utf-8")
+        command += ["--costs", str(path)]
+    else:
+        command += ["--unit-cost", "1e308"]
+    err = assert_one_non_finite_line(capsys, cli_main(command))
+    assert err == "error: NonFiniteValue: the activation cost overflows\n"
+
+
+@pytest.mark.parametrize("fields", [
+    {"base_level": 1e308, "noise_scale": 1e308},
+    {"event_effect": 1e308, "events": [{"period": 2, "kind": "hire", "role": "ops", "count": 1}]},
+], ids=["noise-around-the-base-level", "hire-effect"])
+def test_simulate_overflow_is_one_error_line_and_writes_nothing(tmp_path, capsys, fields):
+    doc = tmp_path / "scenario.json"
+    doc.write_text(json.dumps({"t_max": 6, "n": 2, "seed": 1, **fields}), encoding="utf-8")
+    out_dir = tmp_path / "sim"
+    code = cli_main(["simulate", "--scenario", str(doc), "--out-dir", str(out_dir)])
+    assert_one_non_finite_line(capsys, code)
+    assert not out_dir.exists()
+
+
+def test_a_weight_derivation_past_the_largest_float_is_one_error_line(tmp_path, capsys):
+    # each process is covered by two competencies, so its weight 2 doubles cells of 1e308
+    (tmp_path / "basic.csv").write_text(
+        "t,a,b\n" + "".join(f"{t},1e308,1e308\n" for t in range(1, 15)), encoding="utf-8")
+    compliance = write_compliance(tmp_path / "c.csv", ["1,1", "1,1"])
+    code = cli_main(["compare", "--basic", str(tmp_path / "basic.csv"), "--compliance", compliance,
+                     "--derive", "weight"])
+    assert_one_non_finite_line(capsys, code)

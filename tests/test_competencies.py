@@ -9,6 +9,7 @@ from ucindex import (
     DerivationRule,
     DimensionMismatch,
     NonBinaryEntry,
+    NonFiniteValue,
     ProcessSeries,
     ResourceBudget,
     check_budget,
@@ -152,3 +153,24 @@ class TestDeriveModeSeries:
         matrix = ComplianceMatrix(entries=[[1, 0, 1]])
         with pytest.raises(DimensionMismatch):
             derive_mode_series(series, matrix)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ComplianceMatrix(entries=[0, 1]), DimensionMismatch,
+     "compliance matrix must be 2-d, got 1 dimension(s)"),
+    (lambda: ComplianceMatrix(entries=np.zeros((1, 2, 2), dtype=int)), DimensionMismatch,
+     "compliance matrix must be 2-d, got 3 dimension(s)"),
+    (lambda: ResourceBudget(float("nan"), ()), NonFiniteValue,
+     "budget limit must be finite and >= 0, got nan"),
+    (lambda: ResourceBudget(-1, ()), NonFiniteValue,
+     "budget limit must be finite and >= 0, got -1.0"),
+    (lambda: ResourceBudget(1, (1, float("inf"))), NonFiniteValue,
+     "cost for competency 2 must be finite and >= 0, got inf"),
+    (lambda: ResourceBudget(1, (-0.5,)), NonFiniteValue,
+     "cost for competency 1 must be finite and >= 0, got -0.5"),
+], ids=["one-dimension", "three-dimensions", "nan-limit", "negative-limit", "inf-cost",
+        "negative-cost"])
+def test_invalid_inputs_name_the_rule_they_break(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -747,6 +747,29 @@ class TestStandardizeWindow:
         with pytest.raises(NonFiniteValue, match="overflow"):
             standardize_window(np.array([[1e308], [1e308], [-1e308]]))
 
+    @pytest.mark.parametrize("stacked", [False, True], ids=["window", "stack"])
+    @pytest.mark.parametrize("k", [3, 12])
+    @pytest.mark.parametrize("constant", [0.1, 0.7, 3.3, 1e7 + 0.1])
+    def test_a_constant_column_maps_to_zero_whatever_its_mean_rounds_to(self, constant, k,
+                                                                         stacked):
+        # k * constant is inexact, so the computed mean may differ from the constant in its last
+        # place, and the column's deviations from it have a nonzero std of their own
+        rng = np.random.default_rng(k)
+        window = rng.uniform(1, 10, size=(4, k, 3) if stacked else (k, 3))
+        window[..., 1] = constant
+        z = standardize_window(window)
+        assert not z[..., 1].any()
+        assert np.array_equal(z[..., [0, 2]], standardize_window(window[..., [0, 2]]))
+
+    def test_a_column_whose_squared_deviations_underflow_maps_to_zero(self):
+        # it varies, but its variance computes to 0, so it is zeroed rather than divided by 0
+        window = np.array([[1e-170, 1.0], [2e-170, 2.0], [4e-170, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = standardize_window(window)
+        assert not z[:, 0].any()
+        assert z[:, 1].all()
+
 
 class TestIndicatorSeries:
     def test_zero_variables_give_an_empty_row_a_period(self):
@@ -931,6 +954,16 @@ class TestIndicatorSeries:
     def test_overflowing_total_is_non_finite_value(self):
         with pytest.raises(NonFiniteValue, match="big: the indicator total overflows"):
             IndicatorSeries(1, [[1e308], [1e308]], None, "big")
+
+    def test_a_constant_variable_reads_zero_when_standardized(self):
+        rng = np.random.default_rng(14)
+        values = rng.uniform(1, 10, size=(3, 14))
+        values[1] = 0.7
+        config = WindowConfig(12, standardize=True)
+        result = indicator_series(labelled(values), config)
+        without = indicator_series(labelled(values[[0, 2]]), config)
+        assert result.values[:, 1].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(result.values[:, [0, 2]], without.values, rtol=0, atol=1e-12)
 
 
 class TestScalarPerPeriod:
@@ -1129,3 +1162,19 @@ class TestCompareModes:
         with pytest.raises(ConfigMismatch):
             ModeComparison(basic=a, competency=b)
 
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WindowConfig(1), BadWindow, "window length must be >= 2, got k=1"),
+    (lambda: gram_matrix(np.array([[1.0, np.nan], [2.0, 3.0]]), 2), NonFiniteValue,
+     "window contains NaN or infinite entries"),
+    (lambda: window_indicator(np.array([[1.0, 2.0], [np.inf, 3.0]]), 2), NonFiniteValue,
+     "window contains NaN or infinite entries"),
+    (lambda: standardize_window(np.ones((1, 3))), BadWindow,
+     "standardization needs >= 2 rows, got shape (1, 3)"),
+    (lambda: standardize_window(np.ones(3)), BadWindow,
+     "standardization needs >= 2 rows, got shape (3,)"),
+], ids=["window-config-k-1", "nan-window", "inf-window", "one-row", "one-dimension"])
+def test_invalid_windows_name_the_rule_they_break(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -634,3 +634,18 @@ class TestReaderMemory:
         # the reader hands its caller plain arrays, which a series copies
         assert type(basic) is np.ndarray
         assert not np.shares_memory(ingest_precomputed(basic, "b").values, basic)
+
+
+@pytest.mark.parametrize("totals, shown", [
+    (("nan", "1", "0"), "[nan, 1.0, 0.0]"),
+    (("1", "inf", "0"), "[1.0, inf, 0.0]"),
+    (("1", "1", "-inf"), "[1.0, 1.0, -inf]"),
+], ids=["nan-basic", "inf-competency", "minus-inf-delta"])
+def test_a_fixture_declaring_a_non_finite_total_is_rejected(tmp_path, totals, shown):
+    names = ("basic", "competency", "delta")
+    path = tmp_path / "fixture.csv"
+    path.write_text("".join(f"# declared_total_{n}={v}\n" for n, v in zip(names, totals))
+                    + "t,basic,universal_competencies,delta\n1,1,1,0\n", encoding="utf-8")
+    with pytest.raises(NonFiniteValue) as info:
+        load_mode_fixture(path)
+    assert str(info.value) == f"{path}: fixture declares non-finite totals {shown}"

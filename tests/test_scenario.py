@@ -174,3 +174,19 @@ class TestValidation:
         assert type(scenario.t_max) is int
         assert (type(scenario.base_level), scenario.base_level) == (float, 100.0)
         assert (type(scenario.noise_scale), scenario.noise_scale) == (float, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ScenarioEvent(0, "hire", "ops", 1), "event period must be >= 1, got 0"),
+    (lambda: ScenarioEvent(1, "hire", "ops", 0), "event count must be >= 1, got 0"),
+    (lambda: ScenarioEvent(1, "dismiss", "", 1), "event role must be a nonempty string"),
+    (lambda: Scenario(t_max=5, n=0, seed=1), "n must be >= 1, got 0"),
+    (lambda: Scenario(t_max=5, n=1, seed=-1), "seed must be a nonnegative integer, got -1"),
+    (lambda: Scenario(t_max=5, n=1, seed=1, base_level=float("nan")), "base_level must be finite"),
+    (lambda: Scenario(t_max=5, n=1, seed=1, base_level=-float("inf")), "base_level must be finite"),
+], ids=["event-period-0", "event-count-0", "empty-role", "n-0", "negative-seed", "nan-level",
+        "infinite-level"])
+def test_invalid_scenarios_name_the_rule_they_break(call, message):
+    with pytest.raises(InvalidScenario) as info:
+        call()
+    assert str(info.value) == message
